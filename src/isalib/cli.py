@@ -233,7 +233,10 @@ def cmd_run(config: RunConfig) -> int:
     trace.save_json(out / "trace.json")
     if trace.final_ensemble is not None:
         write_ensemble_csv(trace.final_ensemble, out / "ensemble.csv")
-        triangle_export(trace.final_ensemble, out_dir=out)
+        # a collapsed ensemble has too few effective samples for the
+        # covariance the triangle ranges need
+        if trace.stopped_reason != "collapsed":
+            triangle_export(trace.final_ensemble, out_dir=out)
     print(
         f"stopped: {trace.stopped_reason}; R sequence: "
         + ", ".join(f"{r:.4g}" for r in trace.r_values())

@@ -3,14 +3,18 @@ histograms, and triangle-plot data/SVG export."""
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .ensemble import WeightedEnsemble, weighted_covariance, weighted_mean
+from .ensemble import (
+    WeightedEnsemble,
+    weighted_covariance,
+    weighted_mean,
+    write_csv_table,
+)
 from .errors import ChainTooShort, DomainError
 from .linalg import fsum
 
@@ -79,14 +83,23 @@ class Histogram2D:
     out_of_range: float
 
 
+def default_ranges(ensemble: WeightedEnsemble) -> list[tuple]:
+    """Per coordinate, weighted mean +- 4 weighted standard deviations, from
+    one mean and one covariance of the ensemble."""
+    mus = weighted_mean(ensemble)
+    variances = np.diag(weighted_covariance(ensemble))
+    ranges = []
+    for mu, var in zip(mus.tolist(), variances.tolist()):
+        sd = math.sqrt(max(var, 0.0))
+        if sd == 0.0:
+            sd = max(abs(mu), 1.0) * 1e-6
+        ranges.append((mu - DEFAULT_RANGE_SIGMAS * sd, mu + DEFAULT_RANGE_SIGMAS * sd))
+    return ranges
+
+
 def default_range(ensemble: WeightedEnsemble, coordinate_index: int) -> tuple:
-    """Weighted mean +- 4 weighted standard deviations."""
-    mu = weighted_mean(ensemble)[coordinate_index]
-    var = weighted_covariance(ensemble)[coordinate_index, coordinate_index]
-    sd = math.sqrt(max(var, 0.0))
-    if sd == 0.0:
-        sd = max(abs(mu), 1.0) * 1e-6
-    return (mu - DEFAULT_RANGE_SIGMAS * sd, mu + DEFAULT_RANGE_SIGMAS * sd)
+    """Weighted mean +- 4 weighted standard deviations of one coordinate."""
+    return default_ranges(ensemble)[coordinate_index]
 
 
 def weighted_histogram_1d(
@@ -134,14 +147,6 @@ def weighted_histogram_2d(
     return Histogram2D(x_edges, y_edges, mass, out_of_range=fsum(w[~in_range]))
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{value:.17g}" for value in row])
-
-
 def triangle_export(
     ensemble: WeightedEnsemble, bins: int = DEFAULT_BINS, out_dir="."
 ) -> list[Path]:
@@ -150,38 +155,40 @@ def triangle_export(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     d = ensemble.n_theta
+    ranges = default_ranges(ensemble)
     written: list[Path] = []
     hists1d = []
     for i in range(d):
-        hist = weighted_histogram_1d(ensemble, i, bins)
+        hist = weighted_histogram_1d(ensemble, i, bins, value_range=ranges[i])
         hists1d.append(hist)
         path = out / f"hist_theta_{i}.csv"
-        _write_csv(
+        write_csv_table(
             path,
             ["bin_left", "bin_right", "mass"],
-            zip(hist.edges[:-1], hist.edges[1:], hist.mass),
+            np.column_stack([hist.edges[:-1], hist.edges[1:], hist.mass]),
         )
         written.append(path)
     hists2d = {}
     for i in range(d):
         for j in range(i + 1, d):
-            hist = weighted_histogram_2d(ensemble, i, j, bins)
+            hist = weighted_histogram_2d(
+                ensemble, i, j, bins, x_range=ranges[i], y_range=ranges[j]
+            )
             hists2d[(i, j)] = hist
             path = out / f"hist2d_theta_{i}_theta_{j}.csv"
-            rows = []
-            for a in range(bins):
-                for b in range(bins):
-                    rows.append(
-                        (
-                            hist.x_edges[a],
-                            hist.x_edges[a + 1],
-                            hist.y_edges[b],
-                            hist.y_edges[b + 1],
-                            hist.mass[a, b],
-                        )
-                    )
-            _write_csv(
-                path, ["x_left", "x_right", "y_left", "y_right", "mass"], rows
+            # one row per (x bin, y bin), y bins varying fastest
+            write_csv_table(
+                path,
+                ["x_left", "x_right", "y_left", "y_right", "mass"],
+                np.column_stack(
+                    [
+                        np.repeat(hist.x_edges[:-1], bins),
+                        np.repeat(hist.x_edges[1:], bins),
+                        np.tile(hist.y_edges[:-1], bins),
+                        np.tile(hist.y_edges[1:], bins),
+                        hist.mass.ravel(),
+                    ]
+                ),
             )
             written.append(path)
     svg_path = out / "triangle.svg"

@@ -17,6 +17,8 @@ from .errors import AllWeightsZero, DegenerateEnsemble, DomainError
 from .linalg import fsum, spd_repair
 
 WEIGHT_SUM_TOL = 1e-12
+# rows formatted per write: bounds the text held in memory for a large ensemble
+CSV_BLOCK_ROWS = 4096
 
 
 def self_normalize(log_weights_raw) -> np.ndarray:
@@ -114,12 +116,12 @@ def estimate_r(weights) -> QualityReport:
     return QualityReport(r=r, n_eff=n / r, n=n)
 
 
+# The moment reductions use plain einsum (optimize=False): it never dispatches
+# to threaded BLAS and runs on the orchestrator thread in a fixed loop order,
+# so results do not depend on the worker or BLAS thread count.
 def weighted_mean(ensemble: WeightedEnsemble) -> np.ndarray:
-    """mu_hat = sum_i w_i theta_i, accumulated in sample-index order."""
-    w = ensemble.weights
-    return np.array(
-        [fsum(w * ensemble.samples[:, j]) for j in range(ensemble.n_theta)]
-    )
+    """mu_hat = sum_i w_i theta_i."""
+    return np.einsum("i,ij->j", ensemble.weights, ensemble.samples)
 
 
 def check_collapse(ensemble: WeightedEnsemble) -> QualityReport:
@@ -144,12 +146,7 @@ def weighted_covariance(ensemble: WeightedEnsemble, inflation: float = 1.0) -> n
     check_collapse(ensemble)
     mu = weighted_mean(ensemble)
     dev = ensemble.samples - mu
-    w = ensemble.weights
-    d = ensemble.n_theta
-    cov = np.empty((d, d))
-    for a in range(d):
-        for b in range(a, d):
-            cov[a, b] = cov[b, a] = fsum(w * dev[:, a] * dev[:, b])
+    cov = np.einsum("ij,ik->jk", dev * ensemble.weights[:, None], dev)
     repaired, _ = spd_repair(inflation * cov)
     return repaired
 
@@ -164,27 +161,50 @@ def gaussian_mismatch_r(epsilon: float, n_theta: int) -> float:
     return ((1.0 + epsilon) / math.sqrt(1.0 + 2.0 * epsilon)) ** n_theta
 
 
+def write_csv_table(path, header, table) -> None:
+    """Write a header row and one row per line of the 2-d float `table`,
+    every value with 17 significant digits.  Byte-identical to csv.writer's
+    output (comma-separated, CRLF line ends); each block of rows is formatted
+    with one template and written as one string."""
+    table = np.asarray(table, dtype=float)
+    row = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, table.shape[0], CSV_BLOCK_ROWS):
+            block = table[start : start + CSV_BLOCK_ROWS].tolist()
+            fh.write("".join(row % tuple(values) for values in block))
+
+
 def write_ensemble_csv(ensemble: WeightedEnsemble, path) -> None:
     """CSV with header weight,theta_0,...,theta_{n-1}; 17 significant digits."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["weight"] + [f"theta_{j}" for j in range(ensemble.n_theta)]
-        )
-        for i in range(ensemble.n):
-            writer.writerow(
-                [f"{ensemble.weights[i]:.17g}"]
-                + [f"{x:.17g}" for x in ensemble.samples[i]]
-            )
+    write_csv_table(
+        path,
+        ["weight"] + [f"theta_{j}" for j in range(ensemble.n_theta)],
+        np.column_stack([ensemble.weights, ensemble.samples]),
+    )
 
 
 def read_ensemble_csv(path) -> WeightedEnsemble:
+    """Read an ensemble CSV written by write_ensemble_csv.  Raises
+    DomainError naming the file and line on a malformed header or row."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if not header or header[0] != "weight":
             raise DomainError(f"not an ensemble CSV: {path}")
-        rows = [[float(x) for x in row] for row in reader if row]
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DomainError(
+                    f"{path}, line {reader.line_num}: expected {len(header)} "
+                    f"fields, found {len(row)}"
+                )
+            try:
+                rows.append([float(x) for x in row])
+            except ValueError as exc:
+                raise DomainError(f"{path}, line {reader.line_num}: {exc}") from exc
     if not rows:
         raise DomainError(f"empty ensemble CSV: {path}")
     data = np.asarray(rows)

@@ -1,4 +1,5 @@
-"""Small linear-algebra helpers: deterministic compensated sums and SPD repair."""
+"""Small linear-algebra helpers: an exact sum for weight normalization, SPD
+repair and the Cholesky log-determinant."""
 
 import math
 
@@ -13,15 +14,9 @@ JITTER_MAX = 1e-2
 
 
 def fsum(values) -> float:
-    """Exact (compensated) sum of a 1-d array, independent of how the values
-    were produced; keeps reductions reproducible across worker counts."""
+    """Exact (compensated) sum of a 1-d array; keeps self-normalized weights
+    within 1e-12 of summing to one."""
     return math.fsum(np.asarray(values, dtype=float))
-
-
-def fsum_rows(matrix) -> np.ndarray:
-    """Column-wise compensated sum of a 2-d array."""
-    m = np.asarray(matrix, dtype=float)
-    return np.array([math.fsum(m[:, j]) for j in range(m.shape[1])])
 
 
 def spd_repair(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

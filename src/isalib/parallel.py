@@ -10,7 +10,6 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 
 from .errors import DomainError
-from .targets import is_failure
 
 
 def parallel_map_density(target, thetas, workers: int = 1) -> list:
@@ -27,7 +26,3 @@ def parallel_map_density(target, thetas, workers: int = 1) -> list:
         return [target.log_density(t) for t in thetas]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(target.log_density, thetas))
-
-
-def count_failures(values) -> int:
-    return sum(1 for v in values if is_failure(v))

@@ -225,7 +225,3 @@ def toy2d_log_density(theta):
 
 def gaussian_target(mean, covariance) -> GaussianTarget:
     return GaussianTarget(mean, covariance)
-
-
-def regression_log_density(target: RegressionTarget, theta):
-    return target.log_density(theta)

@@ -135,6 +135,41 @@ class TestRunCommand:
         trace = json.loads((tmp_path / "out" / "trace.json").read_text())
         assert trace["stopped_reason"] == "collapsed"
 
+    def test_refit_collapse_keeps_trace_and_ensemble(self, tmp_path):
+        # a proposal far broader than a narrow target: one draw carries
+        # nearly all the weight, so the first refit collapses
+        rng = np.random.Generator(np.random.Philox(0))
+        samples = 10.0 * rng.standard_normal((200, 2))
+        lines = ["weight,theta_0,theta_1"] + [
+            f"{1.0 / 200},{s[0]},{s[1]}" for s in samples
+        ]
+        ens_path = tmp_path / "broad.csv"
+        ens_path.write_text("\n".join(lines) + "\n")
+        data = {
+            "target": "gaussian",
+            "gaussian": {"mean": [0.0, 0.0], "covariance": [1e-4, 0.0, 0.0, 1e-4]},
+            "init": {"file": str(ens_path)},
+            "isa": {"samples": 200, "max_iterations": 4},
+            "seed": 1,
+            "output_dir": str(tmp_path / "out"),
+        }
+        code = main(["run", "--config", write_config(tmp_path, data)])
+        assert code == EXIT_COLLAPSED
+        out_dir = tmp_path / "out"
+        trace = json.loads((out_dir / "trace.json").read_text())
+        assert trace["stopped_reason"] == "collapsed"
+        assert len(trace["records"]) == 1
+        assert read_ensemble_csv(out_dir / "ensemble.csv").n == 200
+        assert not (out_dir / "triangle.svg").exists()
+
+    def test_malformed_init_file_clean_error(self, tmp_path, capsys):
+        ens_path = tmp_path / "bad.csv"
+        ens_path.write_text("weight,theta_0,theta_1\n0.5,1.0,2.0\n0.5,1.0,abc\n")
+        data = toy_run_config(tmp_path, init={"file": str(ens_path)})
+        assert main(["run", "--config", write_config(tmp_path, data)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "bad.csv, line 3" in err
+
     def test_missing_config_exit_one(self, capsys):
         assert main(["run", "--config", "/nonexistent.json"]) == EXIT_ERROR
         assert "error:" in capsys.readouterr().err
@@ -162,6 +197,40 @@ class TestRunCommand:
             tmp_path / "w4" / "ensemble.csv"
         ).read_bytes()
         assert (tmp_path / "w1" / "trace.json").read_text() != ""
+
+    def test_worker_override_bitwise_identical_student_t(self, tmp_path):
+        # the t family from a multistart mixture: refits go through
+        # fit_student_t and the first draw through the mixture proposal
+        data = {
+            "target": "regression",
+            "regression": {
+                "n_theta": 3,
+                "n_z": 8,
+                "noise_sd": 0.1,
+                "prior_mean": [0.0, 0.0, 0.0],
+                "prior_sd": [3.0, 3.0, 3.0],
+                "theta_ref": [1.0, -0.5, 0.8],
+                "data_seed": 11,
+            },
+            "init": {"gmm": {"n_starts": 6, "confidence": 0.95}},
+            "isa": {"family": "student_t", "nu": 3.0, "samples": 1500,
+                    "max_iterations": 3, "tol": 0.0, "inflation": 2.0},
+            "seed": 5,
+            "output_dir": str(tmp_path / "out"),
+        }
+        path = write_config(tmp_path, data)
+        runs = {}
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            main(["run", "--config", path, "--output", str(out), "--workers", workers])
+            trace = json.loads((out / "trace.json").read_text())
+            runs[workers] = (
+                (out / "ensemble.csv").read_bytes(),
+                (out / "hist2d_theta_0_theta_1.csv").read_bytes(),
+                [(rec["r"], rec["proposal"]) for rec in trace["records"]],
+            )
+        assert len(runs["1"][2]) == 3
+        assert runs["1"] == runs["2"]
 
 
 class TestInitCommands:
@@ -214,6 +283,17 @@ class TestExportTriangle:
         assert main(["export-triangle", "--config", write_config(tmp_path, data, "t.json")]) == EXIT_OK
         assert (tmp_path / "tri" / "triangle.svg").exists()
         assert (tmp_path / "tri" / "hist2d_theta_0_theta_1.csv").exists()
+
+    def test_ragged_ensemble_clean_error(self, tmp_path, capsys):
+        ens_path = tmp_path / "ragged.csv"
+        ens_path.write_text("weight,theta_0,theta_1\n0.5,1.0,2.0\n0.5,1.0\n")
+        data = toy_run_config(
+            tmp_path, init={"file": str(ens_path)}, output_dir=str(tmp_path / "tri")
+        )
+        code = main(["export-triangle", "--config", write_config(tmp_path, data)])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "ragged.csv, line 3" in err
 
 
 class TestWorkersEnv:

@@ -1,8 +1,10 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 
+import isalib.diagnostics
 from isalib import ChainTooShort, DomainError, WeightedEnsemble
 from isalib.diagnostics import (
     default_range,
@@ -162,6 +164,57 @@ class TestTriangleExport:
         triangle_export(ens, bins=15, out_dir=dir_b)
         for name in ("hist_theta_0.csv", "hist2d_theta_0_theta_1.csv", "triangle.svg"):
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+
+    def test_one_covariance_per_export(self, tmp_path, monkeypatch):
+        calls = []
+        original = isalib.diagnostics.weighted_covariance
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(isalib.diagnostics, "weighted_covariance", counted)
+        ens = WeightedEnsemble.uniform(rng_for(10).standard_normal((400, 4)))
+        triangle_export(ens, bins=8, out_dir=tmp_path)
+        assert len(calls) == 1
+
+    def test_csv_bytes_match_csv_writer(self, tmp_path):
+        def reference(path, header, rows):
+            with open(path, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                for row in rows:
+                    writer.writerow([f"{value:.17g}" for value in row])
+
+        ens = WeightedEnsemble.from_log_weights(
+            rng_for(13).standard_normal((500, 2)), rng_for(14).standard_normal(500)
+        )
+        bins = 7
+        triangle_export(ens, bins=bins, out_dir=tmp_path)
+        # histograms over each coordinate's own default range
+        h1 = weighted_histogram_1d(ens, 0, bins)
+        reference(
+            tmp_path / "ref_1d.csv",
+            ["bin_left", "bin_right", "mass"],
+            zip(h1.edges[:-1], h1.edges[1:], h1.mass),
+        )
+        h2 = weighted_histogram_2d(ens, 0, 1, bins)
+        reference(
+            tmp_path / "ref_2d.csv",
+            ["x_left", "x_right", "y_left", "y_right", "mass"],
+            [
+                (h2.x_edges[a], h2.x_edges[a + 1], h2.y_edges[b], h2.y_edges[b + 1],
+                 h2.mass[a, b])
+                for a in range(bins)
+                for b in range(bins)
+            ],
+        )
+        assert (tmp_path / "hist_theta_0.csv").read_bytes() == (
+            tmp_path / "ref_1d.csv"
+        ).read_bytes()
+        assert (tmp_path / "hist2d_theta_0_theta_1.csv").read_bytes() == (
+            tmp_path / "ref_2d.csv"
+        ).read_bytes()
 
     def test_svg_is_well_formed(self, tmp_path):
         import xml.etree.ElementTree as ET

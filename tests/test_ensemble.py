@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import isalib.ensemble
 from isalib import (
     AllWeightsZero,
     DegenerateEnsemble,
@@ -17,6 +19,20 @@ from isalib import (
     weighted_mean,
 )
 from isalib.ensemble import read_ensemble_csv, write_ensemble_csv
+
+
+def fsum_moments(ens):
+    """Reference moments: one compensated sum per mean entry and per
+    covariance entry, accumulated in sample-index order."""
+    w = ens.weights
+    d = ens.n_theta
+    mu = np.array([math.fsum(w * ens.samples[:, j]) for j in range(d)])
+    dev = ens.samples - mu
+    cov = np.empty((d, d))
+    for a in range(d):
+        for b in range(a, d):
+            cov[a, b] = cov[b, a] = math.fsum(w * dev[:, a] * dev[:, b])
+    return mu, cov
 
 
 class TestSelfNormalize:
@@ -122,6 +138,22 @@ class TestMoments:
             rtol=1e-12,
         )
 
+    @pytest.mark.parametrize("d", [2, 5, 10])
+    def test_match_fsum_reference(self, d):
+        rng = np.random.default_rng(40 + d)
+        mixing = rng.standard_normal((d, d)) + 2.0 * np.eye(d)
+        samples = rng.standard_normal((3000, d)) @ mixing.T + rng.uniform(1.0, 5.0, d)
+        ens = WeightedEnsemble.from_log_weights(samples, rng.standard_normal(3000))
+        mu_ref, cov_ref = fsum_moments(ens)
+        np.testing.assert_allclose(weighted_mean(ens), mu_ref, rtol=1e-12)
+        # entries near zero get an absolute floor at the scale of the matrix
+        np.testing.assert_allclose(
+            weighted_covariance(ens),
+            cov_ref,
+            rtol=1e-12,
+            atol=1e-12 * np.abs(cov_ref).max(),
+        )
+
     def test_single_effective_sample_degenerate(self):
         ens = WeightedEnsemble.from_log_weights(
             [[0.0, 0.0], [1.0, 1.0]], [0.0, -np.inf]
@@ -177,6 +209,34 @@ class TestCsvRoundTrip:
         back = read_ensemble_csv(path)
         np.testing.assert_allclose(back.samples, ens.samples, rtol=1e-15)
         np.testing.assert_allclose(back.weights, ens.weights, rtol=1e-12)
+
+    def test_bytes_match_csv_writer(self, tmp_path, monkeypatch):
+        # small blocks, so the 200 rows span several of them
+        monkeypatch.setattr(isalib.ensemble, "CSV_BLOCK_ROWS", 64)
+        rng = np.random.default_rng(10)
+        samples = rng.standard_normal((200, 4)) * np.array([1e-300, 1.0, 1e12, 3.0])
+        samples[0, 1] = -0.0
+        ens = WeightedEnsemble.from_log_weights(samples, rng.standard_normal(200))
+        path = tmp_path / "ens.csv"
+        write_ensemble_csv(ens, path)
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["weight", "theta_0", "theta_1", "theta_2", "theta_3"])
+            for i in range(ens.n):
+                writer.writerow(
+                    [f"{ens.weights[i]:.17g}"] + [f"{x:.17g}" for x in ens.samples[i]]
+                )
+        assert path.read_bytes() == reference.read_bytes()
+
+    @pytest.mark.parametrize(
+        "body", ["0.5,1.0,abc\n", "0.5,1.0\n", "0.5,1.0,2.0,3.0\n"]
+    )
+    def test_malformed_row_names_file_and_line(self, tmp_path, body):
+        path = tmp_path / "bad.csv"
+        path.write_text("weight,theta_0,theta_1\n0.5,0.0,0.0\n" + body)
+        with pytest.raises(DomainError, match=r"bad\.csv, line 3"):
+            read_ensemble_csv(path)
 
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
