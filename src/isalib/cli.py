@@ -231,12 +231,17 @@ def cmd_run(config: RunConfig) -> int:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     trace.save_json(out / "trace.json")
-    if trace.final_ensemble is not None:
-        write_ensemble_csv(trace.final_ensemble, out / "ensemble.csv")
-        # a collapsed ensemble has too few effective samples for the
-        # covariance the triangle ranges need
-        if trace.stopped_reason != "collapsed":
-            triangle_export(trace.final_ensemble, out_dir=out)
+    final = trace.final_ensemble
+    if final is not None:
+        write_ensemble_csv(final, out / "ensemble.csv")
+        # the triangle ranges need a covariance, which a collapsed ensemble
+        # or one with fewer than n_theta + 1 effective samples does not have;
+        # the last record describes the final ensemble
+        if (
+            trace.stopped_reason != "collapsed"
+            and trace.records[-1].n_eff >= final.n_theta + 1
+        ):
+            triangle_export(final, out_dir=out)
     print(
         f"stopped: {trace.stopped_reason}; R sequence: "
         + ", ".join(f"{r:.4g}" for r in trace.r_values())

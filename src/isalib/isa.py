@@ -23,7 +23,6 @@ from .ensemble import (
 from .errors import AllWeightsZero, DegenerateEnsemble, DomainError
 from .parallel import parallel_map_density
 from .proposals import fit_gaussian, fit_student_t
-from .targets import is_failure
 
 FAMILIES = ("gaussian", "student_t")
 # convergence is only declared while the R estimator is not saturated:
@@ -128,14 +127,9 @@ def isa_step(
     if target.dimension != proposal.dimension:
         raise DomainError("target and proposal dimensions disagree")
     thetas = proposal.sample(rng, n_e)
-    log_p = parallel_map_density(target, thetas, workers)
+    log_p, failed = parallel_map_density(target, thetas, workers)
     log_q = proposal.log_density_batch(thetas)
-    log_w = np.array(
-        [
-            -np.inf if is_failure(lp) else float(lp) - float(lq)
-            for lp, lq in zip(log_p, log_q)
-        ]
-    )
+    log_w = np.where(failed, -np.inf, log_p - log_q)
     weights = self_normalize(log_w)
     ensemble = WeightedEnsemble(thetas, log_w, weights)
     return ensemble, estimate_r(weights)

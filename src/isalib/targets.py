@@ -2,7 +2,8 @@
 
 A target returns either a finite log-density or a Failure value.  Failure is
 a distinct object (not a -inf float) so callers can count model failures
-separately; importance weighting maps Failure to log-weight -inf.
+separately; importance weighting maps Failure to log-weight -inf.  The batch
+entry point `log_density_batch` reports failures as a boolean mask instead.
 """
 
 from __future__ import annotations
@@ -38,6 +39,16 @@ class TargetDensity:
     outside support), `residuals(theta)` for least-squares structure, and
     `sample_prior(rng, n)` used by initializers.  Evaluation must be free of
     shared mutable state so calls can run concurrently.
+
+    Importance sampling evaluates a whole draw at once through
+    `log_density_batch(thetas) -> (values, failed)`: a float array and a
+    boolean mask, with `-inf` in every failed row.  The default loops over
+    `log_density`; a target may override it with a vectorized version that
+    agrees with the per-point path up to rounding and gives each row the
+    same result however the batch is split.  The built-in targets do; a
+    subclass of one that overrides its per-point methods gets the default
+    loop.  Non-finite values (NaN, +inf) are counted as failures where the
+    batch is evaluated (`parallel_map_density`).
     """
 
     dimension: int
@@ -45,9 +56,26 @@ class TargetDensity:
     def log_density(self, theta):
         raise NotImplementedError
 
+    def log_density_batch(self, thetas):
+        """One `log_density` call per row of `thetas`."""
+        thetas = np.asarray(thetas, dtype=float)
+        values = np.empty(len(thetas))
+        failed = np.zeros(len(thetas), dtype=bool)
+        for i, theta in enumerate(thetas):
+            value = self.log_density(theta)
+            failed[i] = is_failure(value)
+            values[i] = -math.inf if failed[i] else value
+        return values, failed
+
     def neg_log_posterior(self, theta) -> float:
         value = self.log_density(theta)
         return math.inf if is_failure(value) else -value
+
+
+def _point_path_replaced(target, cls, names) -> bool:
+    """True when `target`'s class overrides one of the methods `cls`'s
+    per-point path uses; its vectorized batch would then disagree with it."""
+    return any(getattr(type(target), name) is not getattr(cls, name) for name in names)
 
 
 class Toy2DTarget(TargetDensity):
@@ -77,6 +105,23 @@ class Toy2DTarget(TargetDensity):
         if not self.in_support(theta):
             return Failure("outside prior cube")
         return -self.f_value(theta)
+
+    def log_density_batch(self, thetas):
+        if _point_path_replaced(self, Toy2DTarget, ("log_density", "in_support", "f_value")):
+            return super().log_density_batch(thetas)
+        t = np.asarray(thetas, dtype=float)
+        x, y = t[:, 0], t[:, 1]
+        inside = (
+            (self.lower <= x) & (x <= self.upper) & (self.lower <= y) & (y <= self.upper)
+        )
+        x, y = x[inside], y[inside]
+        dx = x - self.center[0]
+        dy = y - self.center[1]
+        values = np.full(len(t), -math.inf)
+        values[inside] = -(
+            1e-2 * (dx * dx + dy * dy) ** 2 + 0.2 * np.sin(5.0 * np.hypot(x, y))
+        )
+        return values, ~inside
 
     def gradient(self, theta) -> np.ndarray:
         t = np.asarray(theta, dtype=float)
@@ -116,6 +161,13 @@ class GaussianTarget(TargetDensity):
         dev = np.asarray(theta, dtype=float) - self.mean
         return self._log_norm - 0.5 * float(dev @ self._precision @ dev)
 
+    def log_density_batch(self, thetas):
+        if _point_path_replaced(self, GaussianTarget, ("log_density",)):
+            return super().log_density_batch(thetas)
+        dev = np.asarray(thetas, dtype=float) - self.mean
+        quad = np.einsum("ij,ij->i", np.einsum("ij,jk->ik", dev, self._precision), dev)
+        return self._log_norm - 0.5 * quad, np.zeros(len(dev), dtype=bool)
+
     def gradient(self, theta) -> np.ndarray:
         dev = np.asarray(theta, dtype=float) - self.mean
         return -self._precision @ dev
@@ -130,7 +182,9 @@ class RegressionTarget(TargetDensity):
     prior: F = 0.5 sum ((z_k - M_k)/sigma_k)^2 + 0.5 sum ((theta_j - m_j)/s_j)^2.
 
     `model` maps a parameter vector to a length-n_z prediction or a Failure;
-    model failures propagate (likelihood treated as zero).
+    model failures propagate (likelihood treated as zero).  A model with a
+    `batch(thetas) -> (n, n_z)` attribute is evaluated one batch at a time,
+    and a row with a non-finite prediction fails.
     """
 
     def __init__(self, model, data_z, noise_sd, prior_mean, prior_sd):
@@ -169,6 +223,29 @@ class RegressionTarget(TargetDensity):
             return r
         return -0.5 * float(r @ r)
 
+    def log_density_batch(self, thetas):
+        batch = getattr(self.model, "batch", None)
+        if batch is None or _point_path_replaced(
+            self, RegressionTarget, ("log_density", "residuals")
+        ):
+            return super().log_density_batch(thetas)
+        thetas = np.asarray(thetas, dtype=float)
+        pred = np.asarray(batch(thetas), dtype=float)
+        if pred.shape != (len(thetas), self.data_z.size):
+            raise DomainError("model.batch output must have shape (n, n_z)")
+        failed = ~np.all(np.isfinite(pred), axis=1)
+        # the whitened residuals of every row, written in place: a batch
+        # holds one (n, n_z + n_theta) array besides the predictions
+        n_z = self.data_z.size
+        r = np.empty((len(thetas), n_z + self.dimension))
+        np.subtract(self.data_z, pred, out=r[:, :n_z])
+        np.subtract(thetas, self.prior_mean, out=r[:, n_z:])
+        r[:, :n_z] /= self.noise_sd
+        r[:, n_z:] /= self.prior_sd
+        values = -0.5 * np.einsum("ij,ij->i", r, r)
+        values[failed] = -math.inf
+        return values, failed
+
     def noise_precision(self) -> np.ndarray:
         return np.diag(1.0 / self.noise_sd**2)
 
@@ -182,16 +259,26 @@ class RegressionTarget(TargetDensity):
 
 def builtin_regression_model(n_theta: int, n_z: int):
     """Smooth, mildly nonlinear stand-in forward model:
-    M(theta)_k = sum_j [theta_j * sin(k*j/n_theta) + theta_j^2 / 10]."""
+    M(theta)_k = sum_j [theta_j * sin(k*j/n_theta) + theta_j^2 / 10].
+    `model.batch` evaluates the rows of an (n, n_theta) array at once."""
 
     k = np.arange(n_z)[:, None]
     j = np.arange(n_theta)[None, :]
     basis = np.sin(k * j / n_theta)
+    # einsum runs its inner loop along k over a contiguous (n_theta, n_z) copy
+    basis_t = np.ascontiguousarray(basis.T)
 
     def model(theta):
         theta = np.asarray(theta, dtype=float)
         return basis @ theta + np.sum(theta**2) / 10.0
 
+    def batch(thetas):
+        thetas = np.asarray(thetas, dtype=float)
+        pred = np.einsum("ij,jk->ik", thetas, basis_t)
+        pred += np.einsum("ij,ij->i", thetas, thetas)[:, None] / 10.0
+        return pred
+
+    model.batch = batch
     return model
 
 

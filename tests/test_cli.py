@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -162,6 +163,33 @@ class TestRunCommand:
         assert read_ensemble_csv(out_dir / "ensemble.csv").n == 200
         assert not (out_dir / "triangle.svg").exists()
 
+    def test_degenerate_last_ensemble_exits_max_iterations(self, tmp_path):
+        # the run stops at max_iterations before any refit, with a last
+        # ensemble too degenerate for the triangle export's covariance
+        rng = np.random.Generator(np.random.Philox(0))
+        samples = 10.0 * rng.standard_normal((200, 2))
+        lines = ["weight,theta_0,theta_1"] + [
+            f"{1.0 / 200},{s[0]},{s[1]}" for s in samples
+        ]
+        ens_path = tmp_path / "broad.csv"
+        ens_path.write_text("\n".join(lines) + "\n")
+        data = {
+            "target": "gaussian",
+            "gaussian": {"mean": [0.0, 0.0], "covariance": [1e-4, 0.0, 0.0, 1e-4]},
+            "init": {"file": str(ens_path)},
+            "isa": {"samples": 200, "max_iterations": 1},
+            "seed": 1,
+            "output_dir": str(tmp_path / "out"),
+        }
+        code = main(["run", "--config", write_config(tmp_path, data)])
+        assert code == EXIT_MAX_ITERATIONS
+        out_dir = tmp_path / "out"
+        trace = json.loads((out_dir / "trace.json").read_text())
+        assert trace["stopped_reason"] == "max_iterations"
+        assert trace["records"][0]["n_eff"] < 3
+        assert read_ensemble_csv(out_dir / "ensemble.csv").n == 200
+        assert not (out_dir / "triangle.svg").exists()
+
     def test_malformed_init_file_clean_error(self, tmp_path, capsys):
         ens_path = tmp_path / "bad.csv"
         ens_path.write_text("weight,theta_0,theta_1\n0.5,1.0,2.0\n0.5,1.0,abc\n")
@@ -231,6 +259,54 @@ class TestRunCommand:
             )
         assert len(runs["1"][2]) == 3
         assert runs["1"] == runs["2"]
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+class TestGoldenRSequences:
+    """R sequences recorded before the batch evaluation path existed; a
+    change to how targets are evaluated may move them only by rounding."""
+
+    def run(self, tmp_path, path, *args):
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(path), "--output", str(out), *args])
+        trace = json.loads((out / "trace.json").read_text())
+        return code, trace["stopped_reason"], [rec["r"] for rec in trace["records"]]
+
+    def test_student_t_regression(self, tmp_path):
+        # the reduced config of the student-t worker-count test; tol 0 runs
+        # every iteration, so a change to the stopping rule cannot move it
+        data = {
+            "target": "regression",
+            "regression": {
+                "n_theta": 3,
+                "n_z": 8,
+                "noise_sd": 0.1,
+                "prior_mean": [0.0, 0.0, 0.0],
+                "prior_sd": [3.0, 3.0, 3.0],
+                "theta_ref": [1.0, -0.5, 0.8],
+                "data_seed": 11,
+            },
+            "init": {"gmm": {"n_starts": 6, "confidence": 0.95}},
+            "isa": {"family": "student_t", "nu": 3.0, "samples": 1500,
+                    "max_iterations": 3, "tol": 0.0, "inflation": 2.0},
+            "seed": 5,
+        }
+        code, stopped, r = self.run(tmp_path, write_config(tmp_path, data))
+        assert (code, stopped) == (EXIT_MAX_ITERATIONS, "max_iterations")
+        np.testing.assert_allclose(
+            r, [1.3282930014298189, 9.236454410220658, 8.923854817882836], rtol=1e-9
+        )
+
+    def test_toy2d_mcmc_config(self, tmp_path):
+        code, stopped, r = self.run(
+            tmp_path, CONFIGS / "toy2d_mcmc.json", "--seed", "2001"
+        )
+        assert (code, stopped) == (EXIT_OK, "converged")
+        np.testing.assert_allclose(
+            r, [132.85359059570453, 1.1459872123662775, 1.106524697020259], rtol=1e-9
+        )
 
 
 class TestInitCommands:

@@ -14,11 +14,13 @@ from isalib import (
     gaussian_mismatch_r,
     isa_run,
     isa_step,
+    make_synthetic_regression,
     mcmc_init_ensemble,
     stretch_move_run,
     weighted_covariance,
     weighted_mean,
 )
+from isalib.parallel import parallel_map_density
 
 
 def rng_for(seed):
@@ -98,6 +100,83 @@ class TestIsaStep:
         np.testing.assert_array_equal(ens1.samples, ens8.samples)
         np.testing.assert_array_equal(ens1.weights, ens8.weights)
         assert rep1.r == rep8.r
+
+    def test_evaluates_the_toy_target_as_one_batch(self, monkeypatch):
+        calls = []
+        per_point = Toy2DTarget.log_density
+
+        def spy(self, theta):
+            calls.append(theta)
+            return per_point(self, theta)
+
+        monkeypatch.setattr(Toy2DTarget, "log_density", spy)
+        prop = GaussianProposal(np.array([5.0, 5.0]), 4.0 * np.eye(2))
+        ens, _ = isa_step(Toy2DTarget(), prop, 500, rng_for(4))
+        assert calls == []
+        assert np.any(ens.weights == 0.0)
+
+
+def regression_target():
+    return make_synthetic_regression(
+        n_theta=5, n_z=12, noise_sd=0.1, prior_mean=np.zeros(5),
+        prior_sd=3.0 * np.ones(5), theta_ref=[1.0, -0.5, 0.8, 0.3, -1.2], data_seed=11,
+    )
+
+
+class TestParallelMapDensity:
+    @pytest.mark.parametrize(
+        "target, low, high",
+        [(Toy2DTarget(), -1.0, 12.0), (regression_target(), -3.0, 3.0), (std_target(4), -3.0, 3.0)],
+        ids=["toy2d", "regression", "gaussian"],
+    )
+    def test_bitwise_identical_for_any_worker_count(self, target, low, high):
+        thetas = np.random.default_rng(17).uniform(low, high, size=(20001, target.dimension))
+        values, failed = parallel_map_density(target, thetas, workers=1)
+        for workers in (2, 3, 7):
+            other_values, other_failed = parallel_map_density(target, thetas, workers)
+            np.testing.assert_array_equal(other_values, values)
+            np.testing.assert_array_equal(other_failed, failed)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_values_become_failures(self, bad):
+        class Batch:
+            def log_density_batch(self, thetas):
+                values = np.where(thetas[:, 0] > 0.0, bad, -1.0)
+                return values, np.zeros(len(thetas), dtype=bool)
+
+        thetas = np.array([[1.0], [-1.0], [2.0], [-2.0], [-3.0]])
+        for workers in (1, 2):
+            values, failed = parallel_map_density(Batch(), thetas, workers)
+            assert failed.tolist() == [True, False, True, False, False]
+            assert values.tolist() == [-np.inf, -1.0, -np.inf, -1.0, -1.0]
+
+    def test_more_workers_than_rows(self):
+        thetas = np.array([[5.0, 5.0], [12.0, 5.0], [1.0, 2.0]])
+        values, failed = parallel_map_density(Toy2DTarget(), thetas, workers=8)
+        assert failed.tolist() == [False, True, False]
+        np.testing.assert_array_equal(values, parallel_map_density(Toy2DTarget(), thetas)[0])
+
+
+class TestNonFiniteTarget:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_run_finishes_with_bad_points_at_weight_zero(self, bad):
+        class Broken(GaussianTarget):
+            def log_density(self, theta):
+                return bad if theta[0] > 2.0 else super().log_density(theta)
+
+        trace = isa_run(
+            Broken(np.zeros(2), np.eye(2)),
+            GaussianProposal(np.zeros(2), np.eye(2)),
+            IsaConfig(samples_per_iteration=2000, max_iterations=3, tol=0.0, seed=18),
+        )
+        assert trace.stopped_reason == "max_iterations"
+        assert len(trace.records) == 3
+        ens = trace.final_ensemble
+        bad_rows = ens.samples[:, 0] > 2.0
+        assert bad_rows.any()
+        assert np.all(ens.weights[bad_rows] == 0.0)
+        assert np.all(ens.weights[~bad_rows] > 0.0)
+        assert trace.records[-1].failure_count == int(bad_rows.sum())
 
 
 class TestIsaRunGaussian:

@@ -6,6 +6,7 @@ import pytest
 from isalib import (
     DomainError,
     Failure,
+    GaussianTarget,
     RegressionTarget,
     Toy2DTarget,
     gaussian_target,
@@ -167,3 +168,103 @@ class TestRegressionTarget:
         a = make_synthetic_regression(**kwargs)
         b = make_synthetic_regression(**kwargs)
         np.testing.assert_array_equal(a.data_z, b.data_z)
+
+
+def per_point(target, thetas):
+    """Values and failed mask from one log_density call per row."""
+    raw = [target.log_density(theta) for theta in thetas]
+    failed = np.array([is_failure(value) for value in raw])
+    values = np.array([-math.inf if is_failure(value) else value for value in raw])
+    return values, failed
+
+
+def assert_batch_matches_per_point(target, thetas, atol=0.0):
+    values, failed = target.log_density_batch(thetas)
+    ref_values, ref_failed = per_point(target, thetas)
+    np.testing.assert_array_equal(failed, ref_failed)
+    assert np.all(np.isneginf(values[failed]))
+    np.testing.assert_allclose(values[~failed], ref_values[~ref_failed], rtol=1e-13, atol=atol)
+
+
+class TestLogDensityBatch:
+    def test_toy2d_matches_per_point_at_the_cube_faces(self):
+        below = np.nextafter(0.0, -1.0)
+        above = np.nextafter(11.0, 12.0)
+        edges = np.array(
+            [[0.0, 0.0], [11.0, 11.0], [0.0, 11.0], [11.0, 5.0], [5.0, 0.0],
+             [below, 5.0], [5.0, below], [above, 5.0], [5.0, above], [above, below],
+             [-1.0, 12.0]]
+        )
+        rng = np.random.default_rng(3)
+        thetas = np.vstack([edges, rng.uniform(-1.0, 12.0, size=(500, 2))])
+        # F sums two terms of opposite sign: where they nearly cancel, the
+        # vectorized sin/hypot differ from math's by an ulp of the terms
+        assert_batch_matches_per_point(Toy2DTarget(), thetas, atol=1e-14)
+        failed = Toy2DTarget().log_density_batch(edges)[1]
+        assert failed.tolist() == [False] * 5 + [True] * 6
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_gaussian_matches_per_point(self, dim):
+        rng = np.random.default_rng(dim)
+        a = rng.standard_normal((dim, dim))
+        target = gaussian_target(rng.standard_normal(dim), a @ a.T + np.eye(dim))
+        assert_batch_matches_per_point(target, 3.0 * rng.standard_normal((400, dim)))
+
+    def test_builtin_regression_matches_per_point(self):
+        target = make_synthetic_regression(
+            n_theta=5, n_z=12, noise_sd=0.1, prior_mean=np.zeros(5),
+            prior_sd=3.0 * np.ones(5), theta_ref=[1.0, -0.5, 0.8, 0.3, -1.2], data_seed=11,
+        )
+        thetas = np.random.default_rng(4).standard_normal((400, 5))
+        assert_batch_matches_per_point(target, thetas)
+        rows = np.array([target.model(theta) for theta in thetas])
+        np.testing.assert_allclose(target.model.batch(thetas), rows, rtol=1e-13, atol=1e-14)
+
+    def test_regression_without_batch_model_loops_per_point(self):
+        def model(theta):
+            return Failure("negative input") if theta[0] < 0.0 else 2.0 * theta
+
+        target = RegressionTarget(
+            model, data_z=np.ones(2), noise_sd=np.ones(2),
+            prior_mean=np.zeros(2), prior_sd=np.ones(2),
+        )
+        thetas = np.random.default_rng(5).standard_normal((50, 2))
+        assert_batch_matches_per_point(target, thetas)
+        np.testing.assert_array_equal(target.log_density_batch(thetas)[1], thetas[:, 0] < 0.0)
+
+    def test_non_finite_batch_prediction_fails_the_row(self):
+        def model(theta):
+            return theta.copy()
+
+        model.batch = lambda thetas: np.where(thetas[:, :1] > 0.0, np.nan, thetas)
+        target = RegressionTarget(
+            model, data_z=np.zeros(2), noise_sd=np.ones(2),
+            prior_mean=np.zeros(2), prior_sd=np.ones(2),
+        )
+        thetas = np.array([[1.0, 0.0], [-1.0, 0.5]])
+        values, failed = target.log_density_batch(thetas)
+        assert failed.tolist() == [True, False]
+        assert values[0] == -math.inf
+        assert values[1] == pytest.approx(-0.5 * 2 * (1.0 + 0.25))
+
+    def test_batch_prediction_of_wrong_shape_rejected(self):
+        def model(theta):
+            return theta.copy()
+
+        model.batch = lambda thetas: thetas[:, :1]
+        target = RegressionTarget(
+            model, data_z=np.zeros(2), noise_sd=np.ones(2),
+            prior_mean=np.zeros(2), prior_sd=np.ones(2),
+        )
+        with pytest.raises(DomainError):
+            target.log_density_batch(np.zeros((3, 2)))
+
+    def test_subclass_overriding_log_density_keeps_its_values(self):
+        class Clipped(GaussianTarget):
+            def log_density(self, theta):
+                return Failure("clipped") if theta[0] > 0.0 else super().log_density(theta)
+
+        target = Clipped(np.zeros(2), np.eye(2))
+        thetas = np.random.default_rng(6).standard_normal((40, 2))
+        assert_batch_matches_per_point(target, thetas)
+        np.testing.assert_array_equal(target.log_density_batch(thetas)[1], thetas[:, 0] > 0.0)
