@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllWeightsZero, DegenerateEnsemble, DomainError
-from .linalg import fsum, spd_repair
+from .linalg import spd_repair, total, total_squares
 
 WEIGHT_SUM_TOL = 1e-12
 # rows formatted per write: bounds the text held in memory for a large ensemble
@@ -24,6 +24,8 @@ CSV_BLOCK_ROWS = 4096
 def self_normalize(log_weights_raw) -> np.ndarray:
     """Turn raw log-weights (possibly -inf) into weights summing to one.
 
+    Shifts by the largest finite entry, exponentiates and divides by one
+    fixed-order `linalg.total`, so the weights sum to one within 1e-12.
     Invariant under adding any finite constant to all entries.  Raises
     AllWeightsZero if every entry is -inf.
     """
@@ -37,11 +39,7 @@ def self_normalize(log_weights_raw) -> np.ndarray:
         raise AllWeightsZero("all raw log-weights are -inf")
     shifted = lw - lw[finite].max()
     w = np.exp(shifted)
-    total = fsum(w)
-    w = w / total
-    # one exact renormalization pass keeps the sum within 1e-12 of one
-    w = w / fsum(w)
-    return w
+    return w / total(w)
 
 
 @dataclass(frozen=True)
@@ -64,8 +62,9 @@ class WeightedEnsemble:
             raise DomainError("samples must be finite")
         if len(self.weights) != s.shape[0] or len(self.log_weights_raw) != s.shape[0]:
             raise DomainError("samples and weights disagree in length")
-        if abs(fsum(self.weights) - 1.0) > WEIGHT_SUM_TOL:
-            raise DomainError("weights must sum to one")
+        # NaN-safe: a non-finite weight makes the sum non-finite
+        if not abs(total(self.weights) - 1.0) <= WEIGHT_SUM_TOL:
+            raise DomainError("weights must be finite and sum to one")
         object.__setattr__(self, "samples", s)
         object.__setattr__(
             self, "log_weights_raw", np.asarray(self.log_weights_raw, dtype=float)
@@ -108,10 +107,11 @@ def estimate_r(weights) -> QualityReport:
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise DomainError("weights must be a non-empty 1-d array")
-    if abs(fsum(w) - 1.0) > WEIGHT_SUM_TOL or np.any(w < 0):
-        raise DomainError("weights must be nonnegative and self-normalized")
+    # NaN-safe: a non-finite weight makes the sum non-finite
+    if not abs(total(w) - 1.0) <= WEIGHT_SUM_TOL or np.any(w < 0):
+        raise DomainError("weights must be finite, nonnegative and self-normalized")
     n = w.size
-    r = n * fsum(w * w)
+    r = n * total_squares(w)
     r = min(max(r, 1.0), float(n))
     return QualityReport(r=r, n_eff=n / r, n=n)
 
@@ -186,7 +186,8 @@ def write_ensemble_csv(ensemble: WeightedEnsemble, path) -> None:
 
 def read_ensemble_csv(path) -> WeightedEnsemble:
     """Read an ensemble CSV written by write_ensemble_csv.  Raises
-    DomainError naming the file and line on a malformed header or row."""
+    DomainError naming the file and line on a malformed header or row,
+    including a weight that is not finite and nonnegative."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -202,13 +203,22 @@ def read_ensemble_csv(path) -> WeightedEnsemble:
                     f"fields, found {len(row)}"
                 )
             try:
-                rows.append([float(x) for x in row])
+                values = [float(x) for x in row]
             except ValueError as exc:
                 raise DomainError(f"{path}, line {reader.line_num}: {exc}") from exc
+            if not (math.isfinite(values[0]) and values[0] >= 0.0):
+                raise DomainError(
+                    f"{path}, line {reader.line_num}: weight must be finite "
+                    f"and nonnegative, found {row[0]!r}"
+                )
+            rows.append(values)
     if not rows:
         raise DomainError(f"empty ensemble CSV: {path}")
     data = np.asarray(rows)
     weights = data[:, 0]
+    weight_sum = total(weights)
+    if weight_sum == 0.0:
+        raise DomainError(f"{path}: every weight is zero")
     with np.errstate(divide="ignore"):
         logw = np.log(weights)
-    return WeightedEnsemble(data[:, 1:], logw, weights / fsum(weights))
+    return WeightedEnsemble(data[:, 1:], logw, weights / weight_sum)

@@ -78,6 +78,8 @@ class IterationRecord:
     failure_count: int
     wall_time: float
     proposal: dict  # proposal snapshot (serialized form)
+    max_weight: float  # largest self-normalized weight
+    saturated: bool  # r >= SATURATION_FRACTION * n_e: too large to trust
 
 
 @dataclass(frozen=True)
@@ -103,6 +105,8 @@ class IterationTrace:
                     "failures": rec.failure_count,
                     "wall_time": rec.wall_time,
                     "proposal": rec.proposal,
+                    "max_weight": rec.max_weight,
+                    "saturated": rec.saturated,
                 }
                 for rec in self.records
             ],
@@ -178,6 +182,7 @@ def isa_run(
         except AllWeightsZero:
             stopped = "collapsed"
             break
+        saturated = report.r >= SATURATION_FRACTION * config.samples_per_iteration
         records.append(
             IterationRecord(
                 k=k,
@@ -187,13 +192,15 @@ def isa_run(
                 failure_count=int(np.sum(np.isneginf(ensemble.log_weights_raw))),
                 wall_time=time.perf_counter() - t0,
                 proposal=proposal.to_dict(),
+                max_weight=float(ensemble.weights.max()),
+                saturated=saturated,
             )
         )
         if (
             prev_r is not None
             and prev_r > 0
             and abs(report.r - prev_r) / prev_r < config.tol
-            and report.r < SATURATION_FRACTION * config.samples_per_iteration
+            and not saturated
         ):
             stopped = "converged"
             break

@@ -16,7 +16,7 @@ from scipy.special import gammaln, logsumexp
 
 from .ensemble import WeightedEnsemble, weighted_covariance, weighted_mean
 from .errors import DomainError
-from .linalg import chol_logdet, fsum, spd_repair
+from .linalg import chol_logdet, spd_repair, total
 
 SYMMETRY_TOL = 1e-12
 
@@ -153,7 +153,7 @@ class GaussianMixtureProposal:
         psi = np.asarray(self.psi, dtype=float)
         if psi.size != len(comps) or np.any(psi < 0):
             raise DomainError("psi must be nonnegative, one entry per component")
-        if abs(fsum(psi) - 1.0) > 1e-12:
+        if not abs(total(psi) - 1.0) <= 1e-12:
             raise DomainError("psi must sum to one")
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "psi", psi)
@@ -221,7 +221,7 @@ def gmm_weights(phi) -> np.ndarray:
         raise DomainError("phi must be a non-empty finite vector")
     shifted = -(phi - phi.min())
     w = np.exp(shifted)
-    return w / fsum(w)
+    return w / total(w)
 
 
 def proposal_from_dict(data: dict):

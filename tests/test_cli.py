@@ -35,6 +35,22 @@ def toy_run_config(tmp_path, **overrides):
     return data
 
 
+def write_bad_weight_csv(tmp_path, weight):
+    """An ensemble CSV whose third row (line 4) has the given weight."""
+    rows = [("0.25", 1.0, 2.0), ("0.25", 3.0, 1.0), (weight, 2.0, 2.0),
+            ("0.25", 4.0, 5.0), ("0.25", 2.5, 3.5)]
+    path = tmp_path / "bad_weight.csv"
+    path.write_text(
+        "weight,theta_0,theta_1\n" + "".join(f"{w},{a},{b}\n" for w, a, b in rows)
+    )
+    return path
+
+
+def assert_one_line_error(err, where):
+    assert err.startswith("error:") and where in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestRunConfig:
     def test_round_trip(self, tmp_path):
         data = toy_run_config(tmp_path)
@@ -197,6 +213,13 @@ class TestRunCommand:
         assert main(["run", "--config", write_config(tmp_path, data)]) == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error:") and "bad.csv, line 3" in err
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-0.5"])
+    def test_bad_weight_init_file_clean_error(self, tmp_path, capsys, weight):
+        ens_path = write_bad_weight_csv(tmp_path, weight)
+        data = toy_run_config(tmp_path, init={"file": str(ens_path)})
+        assert main(["run", "--config", write_config(tmp_path, data)]) == EXIT_ERROR
+        assert_one_line_error(capsys.readouterr().err, "bad_weight.csv, line 4")
 
     def test_missing_config_exit_one(self, capsys):
         assert main(["run", "--config", "/nonexistent.json"]) == EXIT_ERROR
@@ -370,6 +393,16 @@ class TestExportTriangle:
         assert code == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error:") and "ragged.csv, line 3" in err
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-0.5"])
+    def test_bad_weight_clean_error(self, tmp_path, capsys, weight):
+        ens_path = write_bad_weight_csv(tmp_path, weight)
+        data = toy_run_config(
+            tmp_path, init={"file": str(ens_path)}, output_dir=str(tmp_path / "tri")
+        )
+        code = main(["export-triangle", "--config", write_config(tmp_path, data)])
+        assert code == EXIT_ERROR
+        assert_one_line_error(capsys.readouterr().err, "bad_weight.csv, line 4")
 
 
 class TestWorkersEnv:

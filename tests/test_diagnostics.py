@@ -1,5 +1,6 @@
 import csv
 import math
+from math import fsum
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from isalib.diagnostics import (
     weighted_histogram_1d,
     weighted_histogram_2d,
 )
-from isalib.linalg import fsum
 
 
 def rng_for(seed):
@@ -214,6 +214,63 @@ class TestTriangleExport:
         ).read_bytes()
         assert (tmp_path / "hist2d_theta_0_theta_1.csv").read_bytes() == (
             tmp_path / "ref_2d.csv"
+        ).read_bytes()
+
+    def test_svg_bytes_match_per_cell_reference(self, tmp_path, monkeypatch):
+        # the per-cell panel loops that format every coordinate of every cell
+        PANEL = isalib.diagnostics.PANEL
+
+        def bar_panel(hist, x0, y0):
+            bins = hist.mass.size
+            peak = hist.mass.max() if hist.mass.max() > 0 else 1.0
+            width = PANEL / bins
+            rects = [
+                f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{PANEL}" height="{PANEL}" '
+                f'fill="none" stroke="black" stroke-width="1"/>'
+            ]
+            for b in range(bins):
+                h = PANEL * float(hist.mass[b]) / peak
+                if h <= 0.0:
+                    continue
+                rects.append(
+                    f'<rect x="{x0 + b * width:.2f}" y="{y0 + PANEL - h:.2f}" '
+                    f'width="{width:.2f}" height="{h:.2f}" fill="gray"/>'
+                )
+            return "\n".join(rects)
+
+        def heat_panel(hist, x0, y0):
+            bins = hist.mass.shape[0]
+            peak = hist.mass.max() if hist.mass.max() > 0 else 1.0
+            cell = PANEL / bins
+            rects = [
+                f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{PANEL}" height="{PANEL}" '
+                f'fill="none" stroke="black" stroke-width="1"/>'
+            ]
+            for a in range(bins):
+                for b in range(bins):
+                    value = float(hist.mass[a, b]) / peak
+                    if value <= 0.0:
+                        continue
+                    shade = int(round(255 * (1.0 - value)))
+                    rects.append(
+                        f'<rect x="{x0 + a * cell:.2f}" '
+                        f'y="{y0 + PANEL - (b + 1) * cell:.2f}" '
+                        f'width="{cell:.2f}" height="{cell:.2f}" '
+                        f'fill="rgb({shade},{shade},{shade})"/>'
+                    )
+            return "\n".join(rects)
+
+        rng = rng_for(15)
+        samples = rng.standard_normal((3000, 3)) * [1.0, 3.0, 0.2]
+        ens = WeightedEnsemble.from_log_weights(samples, 2.0 * rng.standard_normal(3000))
+        hist = weighted_histogram_2d(ens, 0, 2)
+        assert (hist.mass == 0).any() and (hist.mass > 0).any()
+        triangle_export(ens, out_dir=tmp_path / "fast")
+        monkeypatch.setattr(isalib.diagnostics, "_bar_panel", bar_panel)
+        monkeypatch.setattr(isalib.diagnostics, "_heat_panel", heat_panel)
+        triangle_export(ens, out_dir=tmp_path / "reference")
+        assert (tmp_path / "fast" / "triangle.svg").read_bytes() == (
+            tmp_path / "reference" / "triangle.svg"
         ).read_bytes()
 
     def test_svg_is_well_formed(self, tmp_path):

@@ -19,6 +19,7 @@ from isalib import (
     weighted_mean,
 )
 from isalib.ensemble import read_ensemble_csv, write_ensemble_csv
+from isalib.linalg import total, total_squares
 
 
 def fsum_moments(ens):
@@ -65,9 +66,31 @@ class TestSelfNormalize:
         shifted = self_normalize(np.asarray(logs) + shift)
         np.testing.assert_allclose(shifted, base, rtol=1e-12, atol=1e-15)
 
-    @given(st.lists(st.floats(-700, 50), min_size=1, max_size=40))
+    # log-weights spanning far more than a double's exponent range: most
+    # entries underflow to weight zero after the shift by the maximum
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=200))
     def test_sums_to_one(self, logs):
         assert abs(math.fsum(self_normalize(logs)) - 1.0) <= 1e-12
+
+
+class TestReductionAlignment:
+    def test_bitwise_equal_at_every_offset(self):
+        # log-normal with sigma 8: weights spread over ~30 decades
+        w = np.random.default_rng(17).lognormal(0.0, 8.0, 20_001)
+        copies = []
+        for byte_offset in range(16):
+            buf = np.empty(w.nbytes + 16, dtype=np.uint8)
+            view = buf[byte_offset : byte_offset + w.nbytes].view(np.float64)
+            view[:] = w
+            copies.append(view)
+        for element_offset in range(8):
+            buf = np.zeros(w.size + 8)
+            buf[element_offset : element_offset + w.size] = w
+            copies.append(buf[element_offset : element_offset + w.size])
+        sums = {total(c) for c in copies}
+        squares = {total_squares(c) for c in copies}
+        assert len(sums) == 1 and len(squares) == 1
+        assert sums == {total(w)} and squares == {total_squares(w)}
 
 
 class TestEstimateR:
@@ -230,12 +253,26 @@ class TestCsvRoundTrip:
         assert path.read_bytes() == reference.read_bytes()
 
     @pytest.mark.parametrize(
-        "body", ["0.5,1.0,abc\n", "0.5,1.0\n", "0.5,1.0,2.0,3.0\n"]
+        "body",
+        [
+            "0.5,1.0,abc\n",
+            "0.5,1.0\n",
+            "0.5,1.0,2.0,3.0\n",
+            "nan,1.0,2.0\n",
+            "inf,1.0,2.0\n",
+            "-0.5,1.0,2.0\n",
+        ],
     )
     def test_malformed_row_names_file_and_line(self, tmp_path, body):
         path = tmp_path / "bad.csv"
         path.write_text("weight,theta_0,theta_1\n0.5,0.0,0.0\n" + body)
         with pytest.raises(DomainError, match=r"bad\.csv, line 3"):
+            read_ensemble_csv(path)
+
+    def test_all_zero_weights_rejected(self, tmp_path):
+        path = tmp_path / "zero.csv"
+        path.write_text("weight,theta_0\n0.0,1.0\n0,2.0\n")
+        with pytest.raises(DomainError, match=r"zero\.csv: every weight is zero"):
             read_ensemble_csv(path)
 
     def test_header_checked(self, tmp_path):

@@ -20,6 +20,7 @@ from isalib import (
     weighted_covariance,
     weighted_mean,
 )
+from isalib.isa import SATURATION_FRACTION
 from isalib.parallel import parallel_map_density
 
 
@@ -313,6 +314,36 @@ class TestTraceSerialization:
         assert rec["r"] >= 1.0
         assert rec["proposal"]["family"] == "gaussian"
         assert data["config"]["seed"] == 14
+
+    def test_weight_health_fields(self, tmp_path):
+        # a narrow target under a wide proposal: the first draw's R is near
+        # its cap N (n_eff <= 2), so it is saturated and its refit collapses
+        n = 400
+        narrow = isa_run(
+            GaussianTarget(np.zeros(2), 1e-3 * np.eye(2)),
+            GaussianProposal(np.zeros(2), np.eye(2)),
+            IsaConfig(samples_per_iteration=n, max_iterations=3, seed=3),
+        )
+        wide = isa_run(
+            std_target(),
+            GaussianProposal(np.zeros(2), 2.0 * np.eye(2)),
+            IsaConfig(samples_per_iteration=n, max_iterations=2, tol=0.0, seed=3),
+        )
+        saturated = {}
+        for name, trace in (("narrow", narrow), ("wide", wide)):
+            path = tmp_path / f"{name}.json"
+            trace.save_json(path)
+            records = json.loads(path.read_text())["records"]
+            saturated[name] = [rec["saturated"] for rec in records]
+            for rec in records:
+                assert rec["saturated"] == (rec["r"] >= SATURATION_FRACTION * n)
+                # N max(w)^2 <= R = N sum(w^2) <= N max(w)
+                w_max = rec["max_weight"]
+                assert n * w_max**2 <= rec["r"] * (1 + 1e-12)
+                assert rec["r"] <= n * w_max * (1 + 1e-12)
+            assert records[-1]["max_weight"] == trace.final_ensemble.weights.max()
+        assert narrow.stopped_reason == "collapsed"
+        assert saturated == {"narrow": [True], "wide": [False, False]}
 
     def test_records_monotone_k(self):
         prop = GaussianProposal(np.zeros(2), np.eye(2))
