@@ -9,9 +9,10 @@ relevant to them.  Exit codes for `run`: 0 converged, 2 max iterations,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,8 +22,11 @@ from .diagnostics import iact_ensemble, triangle_export
 from .ensemble import read_ensemble_csv, write_ensemble_csv
 from .errors import ConfigError, IsaError
 from .init import (
+    DEDUP_CONFIDENCE_DEFAULT,
+    STRETCH_A_DEFAULT,
     build_gmm,
     dedup_modes,
+    default_walker_count,
     mcmc_init_ensemble,
     multistart,
     stretch_move_run,
@@ -48,13 +52,26 @@ _STOP_TO_EXIT = {
 }
 
 
+@contextmanager
+def _config_values(section: str):
+    """Report a config value that is missing or not a number as one
+    ConfigError.  Only conversions run inside, before any algorithm, so an
+    algorithm's own errors are never relabelled as config errors."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"{section} missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed {section}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class RunConfig:
     target: str
     init: dict
     isa: dict
     seed: int = 0
-    workers: int = 1
+    workers: int = 1  # accepted and validated; has no effect
     output_dir: str = "out"
     gaussian: dict | None = None
     regression: dict | None = None
@@ -70,7 +87,7 @@ class RunConfig:
             raise ConfigError("init must contain exactly one of mcmc / gmm / file")
         if "mcmc" in self.init:
             mcmc = self.init["mcmc"]
-            if int(mcmc.get("walkers", 0)) < 4:
+            if "walkers" in mcmc and int(mcmc["walkers"]) < 4:
                 raise ConfigError("mcmc init needs at least 4 walkers")
             if int(mcmc.get("steps", 0)) < 1 or int(mcmc.get("keep", 0)) < 1:
                 raise ConfigError("mcmc init needs steps >= 1 and keep >= 1")
@@ -95,7 +112,7 @@ class RunConfig:
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        try:
+        with _config_values("config"):
             return cls(
                 target=data["target"],
                 init=dict(data.get("init", {})),
@@ -107,25 +124,6 @@ class RunConfig:
                 regression=data.get("regression"),
                 opt=dict(data.get("opt", {})),
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed config: {exc}") from exc
-
-    def to_dict(self) -> dict:
-        out = {
-            "target": self.target,
-            "init": self.init,
-            "isa": self.isa,
-            "seed": self.seed,
-            "workers": self.workers,
-            "output_dir": self.output_dir,
-        }
-        if self.gaussian is not None:
-            out["gaussian"] = self.gaussian
-        if self.regression is not None:
-            out["regression"] = self.regression
-        if self.opt:
-            out["opt"] = self.opt
-        return out
 
     @classmethod
     def load(cls, path) -> "RunConfig":
@@ -144,90 +142,92 @@ def build_target(config: RunConfig):
         return Toy2DTarget()
     if config.target == "gaussian":
         spec = config.gaussian or {}
-        mean = np.asarray(spec.get("mean", [0.0, 0.0]), dtype=float)
-        dim = mean.size
-        cov = np.asarray(
-            spec.get("covariance", np.eye(dim).ravel().tolist()), dtype=float
-        ).reshape(dim, dim)
+        with _config_values("gaussian config"):
+            mean = np.asarray(spec.get("mean", [0.0, 0.0]), dtype=float)
+            dim = mean.size
+            cov = np.asarray(
+                spec.get("covariance", np.eye(dim).ravel().tolist()), dtype=float
+            ).reshape(dim, dim)
         return gaussian_target(mean, cov)
     spec = config.regression or {}
-    try:
-        return make_synthetic_regression(
-            n_theta=int(spec["n_theta"]),
-            n_z=int(spec["n_z"]),
-            noise_sd=spec["noise_sd"],
-            prior_mean=spec["prior_mean"],
-            prior_sd=spec["prior_sd"],
-            theta_ref=spec["theta_ref"],
-            data_seed=int(spec.get("data_seed", 0)),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"regression config missing key {exc}") from exc
+    with _config_values("regression config"):
+        values = {
+            "n_theta": int(spec["n_theta"]),
+            "n_z": int(spec["n_z"]),
+            "data_seed": int(spec.get("data_seed", 0)),
+        }
+        for key in ("noise_sd", "prior_mean", "prior_sd", "theta_ref"):
+            values[key] = np.asarray(spec[key], dtype=float)
+    return make_synthetic_regression(**values)
 
 
 def build_isa_config(config: RunConfig) -> IsaConfig:
     spec = config.isa
-    try:
-        return IsaConfig(
-            samples_per_iteration=int(spec.get("samples", 1000)),
-            max_iterations=int(spec.get("max_iterations", 10)),
-            tol=float(spec.get("tol", 0.05)),
-            inflation=float(spec.get("inflation", 1.0)),
-            family=str(spec.get("family", "gaussian")),
-            nu=float(spec.get("nu", 3.0)),
-            seed=config.seed,
-        )
-    except IsaError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad isa config: {exc}") from exc
+    with _config_values("isa config"):
+        values = {
+            "samples_per_iteration": int(spec.get("samples", 1000)),
+            "max_iterations": int(spec.get("max_iterations", 10)),
+            "tol": float(spec.get("tol", 0.05)),
+            "inflation": float(spec.get("inflation", 1.0)),
+            "family": str(spec.get("family", "gaussian")),
+            "nu": float(spec.get("nu", 3.0)),
+        }
+    return IsaConfig(**values, seed=config.seed)
 
 
 def build_opt_settings(config: RunConfig) -> OptSettings:
     spec = config.opt
-    return OptSettings(
-        rel_step=float(spec.get("rel_step", 1e-6)),
-        f_tol=float(spec.get("f_tol", 1e-10)),
-        grad_tol=float(spec.get("grad_tol", 1e-6)),
-        max_iter=int(spec.get("max_iter", 200)),
-    )
+    with _config_values("opt config"):
+        return OptSettings(
+            rel_step=float(spec.get("rel_step", 1e-6)),
+            f_tol=float(spec.get("f_tol", 1e-10)),
+            grad_tol=float(spec.get("grad_tol", 1e-6)),
+            max_iter=int(spec.get("max_iter", 200)),
+        )
 
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+def _chain(config: RunConfig, target, rng):
+    """The stretch-move chain of `init.mcmc`; without `walkers` it runs
+    default_walker_count(n_theta) walkers."""
+    spec = config.init["mcmc"]
+    with _config_values("init.mcmc config"):
+        walkers = int(spec.get("walkers", default_walker_count(target.dimension)))
+        steps = int(spec["steps"])
+        a = float(spec.get("a", STRETCH_A_DEFAULT))
+    return stretch_move_run(target, n_walkers=walkers, n_steps=steps, a=a, rng=rng)
+
+
+def _modes(config: RunConfig, target, rng):
+    """The multistart results of `init.gmm` and their distinct modes."""
+    spec = config.init["gmm"]
+    settings = build_opt_settings(config)
+    with _config_values("init.gmm config"):
+        n_starts = int(spec["n_starts"])
+        confidence = float(spec.get("confidence", DEDUP_CONFIDENCE_DEFAULT))
+    results = multistart(target, n_starts, rng, settings=settings)
+    return results, dedup_modes(results, confidence)
+
+
 def build_init(config: RunConfig, target, rng):
     """Return the ISA starting point: a WeightedEnsemble or a proposal."""
     if "mcmc" in config.init:
-        spec = config.init["mcmc"]
-        chain = stretch_move_run(
-            target,
-            n_walkers=int(spec["walkers"]),
-            n_steps=int(spec["steps"]),
-            a=float(spec.get("a", 2.0)),
-            rng=rng,
-        )
-        return mcmc_init_ensemble(chain, int(spec["keep"]))
+        chain = _chain(config, target, rng)
+        return mcmc_init_ensemble(chain, int(config.init["mcmc"]["keep"]))
     if "gmm" in config.init:
-        spec = config.init["gmm"]
-        results = multistart(
-            target,
-            int(spec["n_starts"]),
-            rng,
-            settings=build_opt_settings(config),
-            parallelism=config.workers,
-        )
-        modes = dedup_modes(results, float(spec.get("confidence", 0.95)))
-        return build_gmm(modes)
+        return build_gmm(_modes(config, target, rng)[1])
     return read_ensemble_csv(config.init["file"])
 
 
 def cmd_run(config: RunConfig) -> int:
     target = build_target(config)
+    isa_config = build_isa_config(config)
     rng = _rng(config.seed)
     init = build_init(config, target, rng)
-    trace = isa_run(target, init, build_isa_config(config), workers=config.workers, rng=rng)
+    trace = isa_run(target, init, isa_config, rng=rng)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     trace.save_json(out / "trace.json")
@@ -264,17 +264,7 @@ def cmd_init_mcmc(config: RunConfig) -> int:
 def cmd_init_gmm(config: RunConfig) -> int:
     if "gmm" not in config.init:
         raise ConfigError("init-gmm requires an init.gmm section")
-    target = build_target(config)
-    rng = _rng(config.seed)
-    spec = config.init["gmm"]
-    results = multistart(
-        target,
-        int(spec["n_starts"]),
-        rng,
-        settings=build_opt_settings(config),
-        parallelism=config.workers,
-    )
-    modes = dedup_modes(results, float(spec.get("confidence", 0.95)))
+    results, modes = _modes(config, build_target(config), _rng(config.seed))
     proposal = build_gmm(modes)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -303,15 +293,7 @@ def cmd_init_gmm(config: RunConfig) -> int:
 def cmd_mcmc_baseline(config: RunConfig) -> int:
     if "mcmc" not in config.init:
         raise ConfigError("mcmc-baseline requires an init.mcmc section")
-    spec = config.init["mcmc"]
-    target = build_target(config)
-    chain = stretch_move_run(
-        target,
-        n_walkers=int(spec["walkers"]),
-        n_steps=int(spec["steps"]),
-        a=float(spec.get("a", 2.0)),
-        rng=_rng(config.seed),
-    )
+    chain = _chain(config, build_target(config), _rng(config.seed))
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     np.savetxt(
@@ -366,7 +348,9 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="path to JSON run config")
     parser.add_argument("--output", help="output directory (overrides config)")
     parser.add_argument("--seed", type=int, help="RNG seed (overrides config)")
-    parser.add_argument("--workers", type=int, help="worker count (overrides config)")
+    parser.add_argument(
+        "--workers", type=int, help="accepted for compatibility; has no effect"
+    )
     return parser
 
 
@@ -379,13 +363,10 @@ def main(argv=None) -> int:
             overrides["output_dir"] = args.output
         if args.seed is not None:
             overrides["seed"] = args.seed
-        workers = args.workers
-        if workers is None and os.environ.get("ISA_WORKERS"):
-            workers = int(os.environ["ISA_WORKERS"])
-        if workers is not None:
-            overrides["workers"] = workers
-        if overrides:
-            config = RunConfig.from_dict({**config.to_dict(), **overrides})
+        if args.workers is not None:
+            overrides["workers"] = args.workers
+        # replace() runs RunConfig's validation on the overridden values
+        config = dataclasses.replace(config, **overrides)
         return _COMMANDS[args.command](config)
     except (IsaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -117,8 +117,8 @@ def estimate_r(weights) -> QualityReport:
 
 
 # The moment reductions use plain einsum (optimize=False): it never dispatches
-# to threaded BLAS and runs on the orchestrator thread in a fixed loop order,
-# so results do not depend on the worker or BLAS thread count.
+# to threaded BLAS and runs in a fixed loop order, so results do not depend
+# on the BLAS thread count.
 def weighted_mean(ensemble: WeightedEnsemble) -> np.ndarray:
     """mu_hat = sum_i w_i theta_i."""
     return np.einsum("i,ij->j", ensemble.weights, ensemble.samples)
@@ -171,8 +171,8 @@ def write_csv_table(path, header, table) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, table.shape[0], CSV_BLOCK_ROWS):
-            block = table[start : start + CSV_BLOCK_ROWS].tolist()
-            fh.write("".join(row % tuple(values) for values in block))
+            block = table[start : start + CSV_BLOCK_ROWS]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_ensemble_csv(ensemble: WeightedEnsemble, path) -> None:

@@ -4,11 +4,10 @@ Gaussian mixtures built from deduplicated multistart optimization modes."""
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import gammaincinv
 
 from .ensemble import WeightedEnsemble
 from .errors import DomainError, EmptyInput, InitializationFailed
@@ -164,7 +163,8 @@ def dedup_modes(
     # stable order: ascending f_min, ties by lexicographic minimizer
     converged.sort(key=lambda c: (c.f_min, tuple(c.minimizer)))
     dim = converged[0].minimizer.size
-    threshold = float(chi2.ppf(confidence, df=dim))
+    # the chi-square quantile: the inverse regularized lower gamma at dim/2, doubled
+    threshold = 2.0 * float(gammaincinv(dim / 2.0, confidence))
     kept: list[OptimizationResult] = []
     for cand in converged:
         distinct = True
@@ -200,7 +200,6 @@ def multistart(
     n_starts: int,
     rng: np.random.Generator,
     settings: OptSettings | None = None,
-    parallelism: int = 1,
 ) -> list[OptimizationResult]:
     """Run `minimize` from n_starts prior draws.  Failed results are kept
     (they are data for reporting) but carry FAILED status."""
@@ -208,7 +207,4 @@ def multistart(
         raise DomainError("n_starts must be >= 1")
     starts = target.sample_prior(rng, n_starts)
     settings = settings or OptSettings()
-    if parallelism <= 1:
-        return [minimize(target, start, settings) for start in starts]
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(lambda s: minimize(target, s, settings), starts))
+    return [minimize(target, start, settings) for start in starts]

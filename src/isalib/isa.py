@@ -21,7 +21,6 @@ from .ensemble import (
     self_normalize,
 )
 from .errors import AllWeightsZero, DegenerateEnsemble, DomainError
-from .parallel import parallel_map_density
 from .proposals import fit_gaussian, fit_student_t
 
 FAMILIES = ("gaussian", "student_t")
@@ -46,10 +45,9 @@ class IsaConfig:
             raise DomainError("samples_per_iteration must be >= 2")
         if self.max_iterations < 1:
             raise DomainError("max_iterations must be >= 1")
-        if self.tol <= 0.0:
-            # tol == 0 is allowed for forcing a full max_iterations run
-            if self.tol < 0.0:
-                raise DomainError("tol must be >= 0")
+        # tol == 0 is allowed for forcing a full max_iterations run
+        if self.tol < 0.0:
+            raise DomainError("tol must be >= 0")
         if self.inflation < 1.0:
             raise DomainError("inflation must be >= 1")
         if self.family not in FAMILIES:
@@ -119,8 +117,21 @@ class IterationTrace:
             fh.write("\n")
 
 
+def parallel_map_density(target, thetas):
+    """Evaluate target.log_density_batch over the rows of `thetas`.
+
+    Returns `(values, failed)` in input order.  Failures are data, not
+    errors: a failed row, and any row whose value is not finite, has
+    `failed` set and value -inf.
+    """
+    values, failed = target.log_density_batch(np.asarray(thetas, dtype=float))
+    values = np.asarray(values, dtype=float)
+    failed = np.asarray(failed, dtype=bool) | ~np.isfinite(values)
+    return np.where(failed, -np.inf, values), failed
+
+
 def isa_step(
-    target, proposal, n_e: int, rng: np.random.Generator, workers: int = 1
+    target, proposal, n_e: int, rng: np.random.Generator
 ) -> tuple[WeightedEnsemble, QualityReport]:
     """One importance-sampling pass: draw n_e samples from the proposal and
     self-normalize the weights log p(theta|z) - log q(theta).
@@ -131,7 +142,7 @@ def isa_step(
     if target.dimension != proposal.dimension:
         raise DomainError("target and proposal dimensions disagree")
     thetas = proposal.sample(rng, n_e)
-    log_p, failed = parallel_map_density(target, thetas, workers)
+    log_p, failed = parallel_map_density(target, thetas)
     log_q = proposal.log_density_batch(thetas)
     log_w = np.where(failed, -np.inf, log_p - log_q)
     weights = self_normalize(log_w)
@@ -158,7 +169,8 @@ def isa_run(
     a proposal object used directly for the first draw.  Stops when the
     relative change |R_k+1 - R_k| / R_k falls below config.tol (and the
     estimate is not saturated), at max_iterations, or on collapse; collapse
-    is recorded in stopped_reason, not raised.
+    is recorded in stopped_reason, not raised.  `workers` is accepted for
+    compatibility and ignored: each draw is evaluated as one batch.
     """
     rng = rng or np.random.Generator(np.random.Philox(config.seed))
     records: list[IterationRecord] = []
@@ -177,7 +189,7 @@ def isa_run(
         t0 = time.perf_counter()
         try:
             ensemble, report = isa_step(
-                target, proposal, config.samples_per_iteration, rng, workers
+                target, proposal, config.samples_per_iteration, rng
             )
         except AllWeightsZero:
             stopped = "collapsed"

@@ -119,17 +119,14 @@ def fd_hessian(f, theta, rel_step: float = 1e-5) -> np.ndarray:
 
 
 def gauss_newton_hessian(
-    residual_jacobian: np.ndarray,
-    prior_precision: np.ndarray,
-    noise_precision: np.ndarray | None = None,
+    residual_jacobian: np.ndarray, prior_precision: np.ndarray
 ) -> np.ndarray:
-    """H = J^T W J + prior_precision, SPD-repaired.  With whitened residuals
-    W is the identity; F carries the 1/2 convention, so no extra factor 2."""
+    """H = J^T J + prior_precision, SPD-repaired.  The residuals are
+    whitened and F carries the 1/2 convention, so no extra factor 2."""
     j = np.asarray(residual_jacobian, dtype=float)
     if not np.all(np.isfinite(j)):
         raise DomainError("residual Jacobian must be finite")
-    jtw = j.T if noise_precision is None else j.T @ noise_precision
-    return repair_spd_eig(jtw @ j + np.asarray(prior_precision, dtype=float))
+    return repair_spd_eig(j.T @ j + np.asarray(prior_precision, dtype=float))
 
 
 def _fd_jacobian(residuals, theta, rel_step):
@@ -167,7 +164,7 @@ def _minimize_lm(target, start, settings):
     theta = np.asarray(start, dtype=float)
     r = target.residuals(theta)
     if is_failure(r):
-        return _failed(theta, settings)
+        return _failed(theta)
     r = np.asarray(r)
     fval = 0.5 * float(r @ r)
     history = [fval]
@@ -209,7 +206,8 @@ def _minimize_lm(target, start, settings):
             break
     try:
         jac = _fd_jacobian(target.residuals, theta, settings.rel_step)
-        hessian = repair_spd_eig(jac.T @ jac)
+        # the prior rows are part of the whitened residuals, so J holds them
+        hessian = gauss_newton_hessian(jac, np.zeros((theta.size, theta.size)))
     except EvaluationFailed:
         hessian = repair_spd_eig(np.eye(theta.size))
     return OptimizationResult(theta, fval, hessian, status, it, tuple(history))
@@ -222,11 +220,11 @@ def _minimize_bfgs(target, start, settings):
     theta = np.asarray(start, dtype=float)
     fval = func(theta)
     if not math.isfinite(fval):
-        return _failed(theta, settings)
+        return _failed(theta)
     try:
         grad = finite_diff_gradient(func, theta, settings.rel_step)
     except EvaluationFailed:
-        return _failed(theta, settings)
+        return _failed(theta)
     hinv = np.eye(theta.size)
     history = [fval]
     status = OptStatus.MAX_ITERATIONS
@@ -283,7 +281,7 @@ def _minimize_bfgs(target, start, settings):
     return OptimizationResult(theta, fval, hessian, status, it, tuple(history))
 
 
-def _failed(theta, settings):
+def _failed(theta):
     return OptimizationResult(
         np.asarray(theta, dtype=float),
         math.inf,

@@ -37,8 +37,7 @@ class TargetDensity:
     Subclasses provide `dimension` and `log_density(theta) -> float | Failure`;
     optionally `gradient(theta)`, `neg_log_posterior(theta)` (F, with +inf
     outside support), `residuals(theta)` for least-squares structure, and
-    `sample_prior(rng, n)` used by initializers.  Evaluation must be free of
-    shared mutable state so calls can run concurrently.
+    `sample_prior(rng, n)` used by initializers.
 
     Importance sampling evaluates a whole draw at once through
     `log_density_batch(thetas) -> (values, failed)`: a float array and a
@@ -48,7 +47,7 @@ class TargetDensity:
     same result however the batch is split.  The built-in targets do; a
     subclass of one that overrides its per-point methods gets the default
     loop.  Non-finite values (NaN, +inf) are counted as failures where the
-    batch is evaluated (`parallel_map_density`).
+    batch is evaluated (`isa.parallel_map_density`).
     """
 
     dimension: int
@@ -245,12 +244,6 @@ class RegressionTarget(TargetDensity):
         values = -0.5 * np.einsum("ij,ij->i", r, r)
         values[failed] = -math.inf
         return values, failed
-
-    def noise_precision(self) -> np.ndarray:
-        return np.diag(1.0 / self.noise_sd**2)
-
-    def prior_precision(self) -> np.ndarray:
-        return np.diag(1.0 / self.prior_sd**2)
 
     def sample_prior(self, rng: np.random.Generator, n: int) -> np.ndarray:
         z = rng.standard_normal((n, self.dimension))

@@ -51,12 +51,20 @@ def assert_one_line_error(err, where):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-class TestRunConfig:
-    def test_round_trip(self, tmp_path):
-        data = toy_run_config(tmp_path)
-        config = RunConfig.load(write_config(tmp_path, data))
-        assert RunConfig.from_dict(config.to_dict()) == config
+REGRESSION = {
+    "n_theta": 3,
+    "n_z": 8,
+    "noise_sd": 0.1,
+    "prior_mean": [0.0, 0.0, 0.0],
+    "prior_sd": [3.0, 3.0, 3.0],
+    "theta_ref": [1.0, -0.5, 0.8],
+    "data_seed": 11,
+}
+MCMC_A_X = {"init": {"mcmc": {"walkers": 4, "steps": 5, "keep": 20, "a": "x"}}}
+GMM_CONFIDENCE_X = {"init": {"gmm": {"n_starts": 2, "confidence": "x"}}}
 
+
+class TestRunConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig.from_dict({"target": "toy2d", "init": {}, "isa": {}, "bogus": 1})
@@ -92,6 +100,46 @@ class TestRunConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigError):
             RunConfig.load(str(path))
+
+    @pytest.mark.parametrize(
+        "command, overrides, where",
+        [
+            ("run", MCMC_A_X, "init.mcmc"),
+            ("mcmc-baseline", MCMC_A_X, "init.mcmc"),
+            ("run", GMM_CONFIDENCE_X, "init.gmm"),
+            ("init-gmm", GMM_CONFIDENCE_X, "init.gmm"),
+            ("run", {"init": {"gmm": {"n_starts": 2}}, "opt": {"rel_step": "x"}}, "opt"),
+            ("run", {"isa": {"samples": "x"}}, "isa"),
+            ("run", {"target": "regression", "regression": {**REGRESSION, "n_theta": "x"}},
+             "regression"),
+            ("run", {"target": "regression", "regression": {**REGRESSION, "noise_sd": "x"}},
+             "regression"),
+            ("run", {"target": "regression", "regression": {**REGRESSION, "data_seed": "x"}},
+             "regression"),
+            ("run", {"target": "gaussian", "gaussian": {"mean": "ab"}}, "gaussian"),
+            ("run", {"target": "gaussian",
+                     "gaussian": {"mean": [0.0, 0.0], "covariance": [1.0, 0.0, 1.0]}},
+             "gaussian"),
+        ],
+        ids=["mcmc-a", "baseline-a", "gmm-confidence", "init-gmm-confidence", "opt-rel-step",
+             "isa-samples", "regression-n-theta", "regression-noise-sd",
+             "regression-data-seed", "gaussian-mean", "gaussian-covariance-size"],
+    )
+    def test_malformed_value_clean_error(self, tmp_path, capsys, command, overrides, where):
+        path = write_config(tmp_path, toy_run_config(tmp_path, **overrides))
+        assert main([command, "--config", path]) == EXIT_ERROR
+        assert_one_line_error(capsys.readouterr().err, where)
+        assert not (tmp_path / "out").exists()
+
+    def test_walkers_default_to_2_n_theta_plus_2(self, tmp_path):
+        data = toy_run_config(
+            tmp_path,
+            target="regression",
+            regression=REGRESSION,
+            init={"mcmc": {"steps": 500, "keep": 20}},
+        )
+        assert main(["mcmc-baseline", "--config", write_config(tmp_path, data)]) == EXIT_OK
+        assert json.loads((tmp_path / "out" / "iact.json").read_text())["walkers"] == 8
 
 
 class TestRunCommand:
@@ -410,3 +458,19 @@ class TestWorkersEnv:
         monkeypatch.setenv("ISA_WORKERS", "3")
         path = write_config(tmp_path, toy_run_config(tmp_path))
         assert main(["init-mcmc", "--config", path]) == EXIT_OK
+
+    def test_workers_have_no_effect(self, tmp_path, monkeypatch):
+        path = write_config(tmp_path, toy_run_config(tmp_path))
+        code = main(["run", "--config", path, "--output", str(tmp_path / "plain")])
+        assert main(["run", "--config", path, "--output", str(tmp_path / "w3"),
+                     "--workers", "3"]) == code
+        monkeypatch.setenv("ISA_WORKERS", "abc")
+        assert main(["run", "--config", path, "--output", str(tmp_path / "env")]) == code
+        plain = (tmp_path / "plain" / "ensemble.csv").read_bytes()
+        assert (tmp_path / "w3" / "ensemble.csv").read_bytes() == plain
+        assert (tmp_path / "env" / "ensemble.csv").read_bytes() == plain
+
+    def test_workers_validated(self, tmp_path, capsys):
+        path = write_config(tmp_path, toy_run_config(tmp_path))
+        assert main(["run", "--config", path, "--workers", "0"]) == EXIT_ERROR
+        assert_one_line_error(capsys.readouterr().err, "workers must be >= 1")

@@ -146,6 +146,22 @@ class TestDedupModes:
         with pytest.raises(EmptyInput):
             dedup_modes([failed])
 
+    def test_threshold_is_the_chi2_quantile(self):
+        # two modes at squared distance exactly chi2.ppf(confidence, dim)
+        # merge, and at the next float up they stay apart, so the threshold
+        # dedup_modes uses equals scipy.stats.chi2.ppf bit for bit
+        from scipy.stats import chi2
+
+        for dim in range(1, 60):
+            step = np.eye(dim)[0]
+            for confidence in (0.5, 0.68, 0.9, 0.95, 0.975, 0.99, 0.999, 0.9999):
+                quantile = float(chi2.ppf(confidence, df=dim))
+                for scale, kept in ((quantile, 1), (np.nextafter(quantile, np.inf), 2)):
+                    hess = np.eye(dim)
+                    hess[0, 0] = scale
+                    cands = [converged(np.zeros(dim), 0.0, hess), converged(step, 1.0, hess)]
+                    assert len(dedup_modes(cands, confidence)) == kept, (dim, confidence)
+
     def test_confidence_validated(self):
         with pytest.raises(DomainError):
             dedup_modes([converged([0.0], 0.0, [[1.0]])], confidence=1.5)
@@ -200,13 +216,6 @@ class TestMultistart:
         # deepest dent lies closest to the quartic center (5, 5), radius ~7.07
         best = modes.minimizers[np.argmin(modes.f_mins)]
         assert np.linalg.norm(best) == pytest.approx(7.2, abs=0.2)
-
-    def test_parallel_matches_serial(self):
-        serial = multistart(Toy2DTarget(), 10, rng_for(12), parallelism=1)
-        parallel = multistart(Toy2DTarget(), 10, rng_for(12), parallelism=4)
-        for s, p in zip(serial, parallel):
-            np.testing.assert_array_equal(s.minimizer, p.minimizer)
-            assert s.f_min == p.f_min
 
     def test_n_starts_validated(self):
         with pytest.raises(DomainError):

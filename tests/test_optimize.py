@@ -89,12 +89,6 @@ class TestGaussNewton:
         hess = gauss_newton_hessian(a, p)
         np.testing.assert_allclose(hess, a.T @ a + p, rtol=1e-12)
 
-    def test_weighted_variant(self):
-        a = np.array([[1.0, 0.0], [0.0, 1.0]])
-        w = np.diag([4.0, 9.0])
-        hess = gauss_newton_hessian(a, np.zeros((2, 2)), noise_precision=w)
-        np.testing.assert_allclose(hess, w, rtol=1e-10)
-
     def test_jacobian_of_linear_residuals(self):
         a = np.array([[2.0, -1.0], [0.5, 3.0], [1.0, 1.0]])
         jac = _fd_jacobian(lambda t: a @ t - 1.0, np.array([0.3, 0.7]), 1e-6)
