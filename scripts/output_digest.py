@@ -1,0 +1,70 @@
+#!/usr/bin/env python3
+"""Print a sha256 digest of every file a fixed corpus of CLI runs writes.
+
+Run it in two checkouts and diff the two listings to see whether a change
+keeps the outputs byte-identical:
+
+    PYTHONPATH=src python3 scripts/output_digest.py > digests.txt
+
+Each line is `sha256  path`, with the path relative to the output directory.
+`trace.json` is hashed with its `wall_time` values blanked, since they are
+clock readings.  Each invocation also gets one line for its exit code and
+stdout, under the path `<invocation>/exit+stdout`, with the output directory
+written as `<out>` so that listings made in different places compare.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import re
+import tempfile
+from pathlib import Path
+
+from isalib.cli import main as cli_main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+WALL_TIME = re.compile(rb'"wall_time": [^,\n]*')
+
+
+def corpus():
+    """(command, config name, seed) for every invocation, in run order."""
+    runs = [("run", "toy2d_mcmc", s) for s in sorted({*range(100, 160), 138, 181, 211})]
+    for seed in range(5, 17):
+        runs += [("run", "regression_student_t", seed),
+                 ("init-gmm", "regression_student_t", seed)]
+    for seed in range(7, 10):
+        runs += [("run", "toy2d_gmm", seed), ("init-gmm", "toy2d_gmm", seed)]
+    runs += [("init-mcmc", "toy2d_mcmc", 3), ("mcmc-baseline", "toy2d_baseline", 9)]
+    return runs
+
+
+def digest(path: Path) -> str:
+    data = path.read_bytes()
+    if path.name == "trace.json":
+        data = WALL_TIME.sub(b'"wall_time": null', data)
+    return hashlib.sha256(data).hexdigest()
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", help="output directory (default: a temporary one)")
+    args = parser.parse_args()
+    with contextlib.ExitStack() as stack:
+        root = Path(args.out or stack.enter_context(tempfile.TemporaryDirectory()))
+        for command, config, seed in corpus():
+            name = f"{command}/{config}/{seed}"
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = cli_main([command, "--config", str(CONFIGS / f"{config}.json"),
+                                 "--seed", str(seed), "--output", str(root / name)])
+            text = stdout.getvalue().replace(str(root), "<out>")
+            record = f"exit {code}\n{text}".encode()
+            print(f"{hashlib.sha256(record).hexdigest()}  {name}/exit+stdout", flush=True)
+            for path in sorted((root / name).rglob("*")):
+                if path.is_file():
+                    print(f"{digest(path)}  {path.relative_to(root)}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import iact_ensemble, triangle_export
-from .ensemble import read_ensemble_csv, write_ensemble_csv
+from .ensemble import read_ensemble_csv, write_csv_table, write_ensemble_csv
 from .errors import ConfigError, IsaError
 from .init import (
     DEDUP_CONFIDENCE_DEFAULT,
@@ -98,18 +98,7 @@ class RunConfig:
     def from_dict(cls, data: dict) -> "RunConfig":
         if not isinstance(data, dict):
             raise ConfigError("config root must be a JSON object")
-        known = {
-            "target",
-            "init",
-            "isa",
-            "seed",
-            "workers",
-            "output_dir",
-            "gaussian",
-            "regression",
-            "opt",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         with _config_values("config"):
@@ -296,13 +285,8 @@ def cmd_mcmc_baseline(config: RunConfig) -> int:
     chain = _chain(config, build_target(config), _rng(config.seed))
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    np.savetxt(
-        out / "chain.csv",
-        chain.samples,
-        delimiter=",",
-        header=",".join(f"theta_{j}" for j in range(chain.n_theta)),
-        comments="",
-        fmt="%.17g",
+    write_csv_table(
+        out / "chain.csv", [f"theta_{j}" for j in range(chain.n_theta)], chain.samples
     )
     by_walker = chain.by_walker()
     taus = [

@@ -52,7 +52,7 @@ def _draw_feasible_walkers(target, n_walkers, rng):
         for _ in range(FEASIBLE_DRAW_BUDGET):
             candidate = target.sample_prior(rng, 1)[0]
             value = target.log_density(candidate)
-            if not is_failure(value) and math.isfinite(value):
+            if not is_failure(value):
                 positions[w] = candidate
                 logp[w] = value
                 break
@@ -75,7 +75,8 @@ def stretch_move_run(
     Proposal Y = X_j + z (X_k - X_j) with z ~ g(z) propto 1/sqrt(z) on
     [1/a, a], accepted with probability min(1, z^(n-1) p(Y)/p(X_j)).
     Walkers update in two half-ensemble sweeps; proposals whose density is a
-    Failure are rejected.
+    failure (`is_failure`: a Failure, NaN or +-inf) are rejected, so every
+    stored log density is finite.
     """
     if n_walkers < 4:
         raise DomainError("need at least 4 walkers for the stretch move")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -56,15 +56,7 @@ class IsaConfig:
             raise DomainError("student_t family needs nu > 2")
 
     def to_dict(self) -> dict:
-        return {
-            "samples_per_iteration": self.samples_per_iteration,
-            "max_iterations": self.max_iterations,
-            "tol": self.tol,
-            "inflation": self.inflation,
-            "family": self.family,
-            "nu": self.nu,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

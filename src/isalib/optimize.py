@@ -3,6 +3,8 @@
 Targets exposing least-squares structure (a `residuals` method) are minimized
 with damped Gauss-Newton (Levenberg-Marquardt); everything else falls back to
 BFGS with finite-difference gradients.  Accepted steps strictly decrease F.
+A value fails when `targets.is_failure` says so (a Failure, NaN or +-inf);
+failed trial steps are rejected and stencils fall back to one side.
 """
 
 from __future__ import annotations
@@ -56,35 +58,42 @@ def repair_spd_eig(matrix: np.ndarray) -> np.ndarray:
     return 0.5 * (repaired + repaired.T)
 
 
-def finite_diff_gradient(f, theta, rel_step: float = 1e-6) -> np.ndarray:
-    """Central differences with step h_j = rel_step * (1 + |theta_j|);
-    coordinates whose stencil hits a failed evaluation fall back to one-sided
-    differences.  Raises EvaluationFailed if both sides fail."""
+def _central_differences(f, theta, rel_step):
+    """One difference quotient of f per coordinate j: central with step
+    h_j = rel_step * (1 + |theta_j|), or one-sided around theta where one
+    side's value is a failure (`is_failure`).  f may return a scalar or a
+    vector.  Raises EvaluationFailed if both sides fail, or if a one-sided
+    quotient is needed and f fails at theta."""
     theta = np.asarray(theta, dtype=float)
     f0 = None
-    grad = np.empty(theta.size)
+    quotients = []
     for j in range(theta.size):
         h = rel_step * (1.0 + abs(theta[j]))
         up = theta.copy()
         up[j] += h
         dn = theta.copy()
         dn[j] -= h
-        f_up = float(f(up))
-        f_dn = float(f(dn))
-        if math.isfinite(f_up) and math.isfinite(f_dn):
-            grad[j] = (f_up - f_dn) / (2.0 * h)
+        f_up, f_dn = f(up), f(dn)
+        if not is_failure(f_up) and not is_failure(f_dn):
+            quotients.append((np.asarray(f_up) - np.asarray(f_dn)) / (2.0 * h))
             continue
         if f0 is None:
-            f0 = float(f(theta))
-            if not math.isfinite(f0):
-                raise EvaluationFailed("f is not finite at the expansion point")
-        if math.isfinite(f_up):
-            grad[j] = (f_up - f0) / h
-        elif math.isfinite(f_dn):
-            grad[j] = (f0 - f_dn) / h
+            f0 = f(theta)
+            if is_failure(f0):
+                raise EvaluationFailed("f failed at the expansion point")
+            f0 = np.asarray(f0)
+        if not is_failure(f_up):
+            quotients.append((np.asarray(f_up) - f0) / h)
+        elif not is_failure(f_dn):
+            quotients.append((f0 - np.asarray(f_dn)) / h)
         else:
             raise EvaluationFailed(f"both one-sided stencils failed for coordinate {j}")
-    return grad
+    return quotients
+
+
+def finite_diff_gradient(f, theta, rel_step: float = 1e-6) -> np.ndarray:
+    """Gradient of a scalar f by `_central_differences`."""
+    return np.array(_central_differences(f, theta, rel_step), dtype=float)
 
 
 def fd_hessian(f, theta, rel_step: float = 1e-5) -> np.ndarray:
@@ -95,10 +104,10 @@ def fd_hessian(f, theta, rel_step: float = 1e-5) -> np.ndarray:
     h = rel_step * (1.0 + np.abs(theta))
 
     def ev(point):
-        val = float(f(point))
-        if not math.isfinite(val):
+        val = f(point)
+        if is_failure(val):
             raise EvaluationFailed("stencil point evaluation failed")
-        return val
+        return float(val)
 
     f0 = ev(theta)
     hess = np.empty((n, n))
@@ -130,34 +139,9 @@ def gauss_newton_hessian(
 
 
 def _fd_jacobian(residuals, theta, rel_step):
-    """Finite-difference Jacobian of a residual vector; stencil failures fall
-    back to one-sided differences around the (feasible) expansion point."""
-    theta = np.asarray(theta, dtype=float)
-    r0 = None
-    cols = []
-    for j in range(theta.size):
-        h = rel_step * (1.0 + abs(theta[j]))
-        up = theta.copy()
-        up[j] += h
-        dn = theta.copy()
-        dn[j] -= h
-        r_up = residuals(up)
-        r_dn = residuals(dn)
-        if not is_failure(r_up) and not is_failure(r_dn):
-            cols.append((np.asarray(r_up) - np.asarray(r_dn)) / (2.0 * h))
-            continue
-        if r0 is None:
-            r0 = residuals(theta)
-            if is_failure(r0):
-                raise EvaluationFailed("residuals failed at the expansion point")
-            r0 = np.asarray(r0)
-        if not is_failure(r_up):
-            cols.append((np.asarray(r_up) - r0) / h)
-        elif not is_failure(r_dn):
-            cols.append((r0 - np.asarray(r_dn)) / h)
-        else:
-            raise EvaluationFailed(f"both one-sided stencils failed for coordinate {j}")
-    return np.column_stack(cols)
+    """Jacobian of a residual vector by `_central_differences`, one column
+    per coordinate."""
+    return np.column_stack(_central_differences(residuals, theta, rel_step))
 
 
 def _minimize_lm(target, start, settings):
@@ -219,7 +203,7 @@ def _minimize_bfgs(target, start, settings):
 
     theta = np.asarray(start, dtype=float)
     fval = func(theta)
-    if not math.isfinite(fval):
+    if is_failure(fval):
         return _failed(theta)
     try:
         grad = finite_diff_gradient(func, theta, settings.rel_step)
@@ -244,7 +228,7 @@ def _minimize_bfgs(target, start, settings):
         for _ in range(60):
             trial = theta + alpha * direction
             f_trial = func(trial)
-            if math.isfinite(f_trial) and f_trial <= fval + 1e-4 * alpha * slope:
+            if not is_failure(f_trial) and f_trial <= fval + 1e-4 * alpha * slope:
                 accepted = True
                 break
             alpha *= 0.5

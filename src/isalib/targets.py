@@ -2,8 +2,9 @@
 
 A target returns either a finite log-density or a Failure value.  Failure is
 a distinct object (not a -inf float) so callers can count model failures
-separately; importance weighting maps Failure to log-weight -inf.  The batch
-entry point `log_density_batch` reports failures as a boolean mask instead.
+separately; `is_failure`, the one per-point test, also counts NaN and +-inf.
+Importance weighting maps a failure to log-weight -inf.  The batch entry
+point `log_density_batch` reports failures as a boolean mask instead.
 """
 
 from __future__ import annotations
@@ -28,6 +29,11 @@ FAILURE = Failure()
 
 
 def is_failure(value) -> bool:
+    """True for a Failure and for a float (Python or numpy) that is NaN or
+    +-inf.  Arrays are not inspected: their producer maps non-finite entries
+    to a Failure, as `RegressionTarget.residuals` does."""
+    if isinstance(value, (float, np.floating)):
+        return not math.isfinite(value)
     return isinstance(value, Failure)
 
 
@@ -46,7 +52,8 @@ class TargetDensity:
     agrees with the per-point path up to rounding and gives each row the
     same result however the batch is split.  The built-in targets do; a
     subclass of one that overrides its per-point methods gets the default
-    loop.  Non-finite values (NaN, +inf) are counted as failures where the
+    loop, which marks every value `is_failure` rejects.  Non-finite values
+    that a vectorized override returns are counted as failures where the
     batch is evaluated (`isa.parallel_map_density`).
     """
 
@@ -286,9 +293,18 @@ def make_synthetic_regression(
     model=None,
 ) -> RegressionTarget:
     """Build a regression target with synthetic data z = M(theta_ref) + eps,
-    eps drawn once from the stated noise with the recorded seed."""
+    eps drawn once from the stated noise with the recorded seed.  Raises
+    DomainError unless noise_sd is a scalar or has n_z entries and
+    prior_mean, prior_sd and theta_ref have n_theta entries each."""
+    noise_sd = np.asarray(noise_sd, dtype=float)
+    if noise_sd.shape not in ((), (1,), (n_z,)):
+        raise DomainError(f"noise_sd must be a scalar or have n_z = {n_z} entries")
+    for name, value in (("prior_mean", prior_mean), ("prior_sd", prior_sd),
+                        ("theta_ref", theta_ref)):
+        if np.shape(value) != (n_theta,):
+            raise DomainError(f"{name} must have n_theta = {n_theta} entries")
     model = model or builtin_regression_model(n_theta, n_z)
-    noise_sd = np.broadcast_to(np.asarray(noise_sd, dtype=float), (n_z,)).copy()
+    noise_sd = np.broadcast_to(noise_sd, (n_z,)).copy()
     rng = np.random.Generator(np.random.Philox(data_seed))
     pred = np.asarray(model(np.asarray(theta_ref, dtype=float)))
     data_z = pred + rng.standard_normal(n_z) * noise_sd

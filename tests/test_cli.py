@@ -14,6 +14,8 @@ from isalib.cli import (
 )
 from isalib.ensemble import read_ensemble_csv
 from isalib.errors import ConfigError
+from isalib.init import stretch_move_run
+from isalib.targets import Toy2DTarget
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -128,6 +130,18 @@ class TestRunConfig:
     def test_malformed_value_clean_error(self, tmp_path, capsys, command, overrides, where):
         path = write_config(tmp_path, toy_run_config(tmp_path, **overrides))
         assert main([command, "--config", path]) == EXIT_ERROR
+        assert_one_line_error(capsys.readouterr().err, where)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "regression, where",
+        [({**REGRESSION, "noise_sd": [0.1, 0.2]}, "noise_sd"),
+         ({**REGRESSION, "n_theta": 2, "theta_ref": [1.0, -0.5]}, "prior_mean")],
+        ids=["noise-sd-not-n-z", "prior-not-n-theta"],
+    )
+    def test_regression_length_clean_error(self, tmp_path, capsys, regression, where):
+        data = toy_run_config(tmp_path, target="regression", regression=regression)
+        assert main(["run", "--config", write_config(tmp_path, data)]) == EXIT_ERROR
         assert_one_line_error(capsys.readouterr().err, where)
         assert not (tmp_path / "out").exists()
 
@@ -414,8 +428,13 @@ class TestBaselineCommand:
         assert report["steps"] == 2000
         assert len(report["iact"]) == 2
         assert all(t >= 1.0 for t in report["iact"])
+        raw = (tmp_path / "out" / "chain.csv").read_bytes()
+        assert raw.startswith(b"theta_0,theta_1\r\n")
+        assert raw.count(b"\r\n") == 8001 and raw.count(b"\n") == 8001
         chain = np.loadtxt(tmp_path / "out" / "chain.csv", delimiter=",", skiprows=1)
-        assert chain.shape == (8000, 2)
+        rng = np.random.Generator(np.random.Philox(2001))
+        expected = stretch_move_run(Toy2DTarget(), n_walkers=4, n_steps=2000, rng=rng)
+        assert chain.tobytes() == expected.samples.tobytes()
 
 
 class TestExportTriangle:

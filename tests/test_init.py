@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,19 @@ class TestStretchMove:
         a = stretch_move_run(Toy2DTarget(), n_walkers=4, n_steps=30, rng=rng_for(5))
         b = stretch_move_run(Toy2DTarget(), n_walkers=4, n_steps=30, rng=rng_for(5))
         np.testing.assert_array_equal(a.samples, b.samples)
+
+    def test_infinite_density_rejected(self):
+        # +inf is a failure, not an infinitely good proposal: walkers that
+        # accepted it would never move again
+        class InfRight(GaussianTarget):
+            def log_density(self, theta):
+                return math.inf if theta[0] > 1.0 else super().log_density(theta)
+
+        target = InfRight(np.zeros(2), np.eye(2))
+        chain = stretch_move_run(target, n_walkers=4, n_steps=200, rng=rng_for(7))
+        assert np.all(np.isfinite(chain.log_densities))
+        assert chain.samples[:, 0].max() <= 1.0
+        assert chain.acceptance_rate > 0.2
 
     def test_infeasible_prior_raises(self):
         class Hostile(Toy2DTarget):

@@ -17,6 +17,137 @@ from isalib import (
     minimize,
 )
 from isalib.optimize import _fd_jacobian, repair_spd_eig
+from isalib.targets import is_failure
+
+
+def reference_gradient(f, theta, rel_step=1e-6):
+    """The scalar stencil loop as it stood before the gradient and the
+    Jacobian shared one; kept as a bitwise reference."""
+    theta = np.asarray(theta, dtype=float)
+    f0 = None
+    grad = np.empty(theta.size)
+    for j in range(theta.size):
+        h = rel_step * (1.0 + abs(theta[j]))
+        up = theta.copy()
+        up[j] += h
+        dn = theta.copy()
+        dn[j] -= h
+        f_up = float(f(up))
+        f_dn = float(f(dn))
+        if math.isfinite(f_up) and math.isfinite(f_dn):
+            grad[j] = (f_up - f_dn) / (2.0 * h)
+            continue
+        if f0 is None:
+            f0 = float(f(theta))
+            if not math.isfinite(f0):
+                raise EvaluationFailed("f is not finite at the expansion point")
+        if math.isfinite(f_up):
+            grad[j] = (f_up - f0) / h
+        elif math.isfinite(f_dn):
+            grad[j] = (f0 - f_dn) / h
+        else:
+            raise EvaluationFailed(f"both one-sided stencils failed for coordinate {j}")
+    return grad
+
+
+def reference_jacobian(residuals, theta, rel_step):
+    """The vector stencil loop as it stood before the merge (bitwise reference)."""
+    theta = np.asarray(theta, dtype=float)
+    r0 = None
+    cols = []
+    for j in range(theta.size):
+        h = rel_step * (1.0 + abs(theta[j]))
+        up = theta.copy()
+        up[j] += h
+        dn = theta.copy()
+        dn[j] -= h
+        r_up = residuals(up)
+        r_dn = residuals(dn)
+        if not is_failure(r_up) and not is_failure(r_dn):
+            cols.append((np.asarray(r_up) - np.asarray(r_dn)) / (2.0 * h))
+            continue
+        if r0 is None:
+            r0 = residuals(theta)
+            if is_failure(r0):
+                raise EvaluationFailed("residuals failed at the expansion point")
+            r0 = np.asarray(r0)
+        if not is_failure(r_up):
+            cols.append((np.asarray(r_up) - r0) / h)
+        elif not is_failure(r_dn):
+            cols.append((r0 - np.asarray(r_dn)) / h)
+        else:
+            raise EvaluationFailed(f"both one-sided stencils failed for coordinate {j}")
+    return np.column_stack(cols)
+
+
+THETA = np.array([0.7, 0.3, -1.9])
+# the points where the function fails: one or both sides of coordinate 1's
+# stencil, or that side and THETA itself
+FAILS_AT = {
+    "none": lambda x: False,
+    "up": lambda x: x[1] > THETA[1],
+    "down": lambda x: x[1] < THETA[1],
+    "both": lambda x: x[1] != THETA[1],
+    "expansion-point": lambda x: x[1] > THETA[1] or np.array_equal(x, THETA),
+}
+
+
+def scalar_function(fails, failure):
+    def f(x):
+        if FAILS_AT[fails](x):
+            return failure
+        return float(np.sin(x[0]) * x[1] ** 3 + math.exp(0.3 * x[2]) * x[0])
+    return f
+
+
+def vector_function(fails):
+    def f(x):
+        if FAILS_AT[fails](x):
+            return FAILURE
+        return np.array([np.sin(x[0]) * x[1] ** 3, math.exp(0.3 * x[2]) * x[0], x @ x])
+    return f
+
+
+class TestOneStencil:
+    """The gradient and the Jacobian share one stencil loop; it reproduces
+    both earlier loops bit for bit."""
+
+    @pytest.mark.parametrize("failure", [math.inf, -math.inf, math.nan, np.float64(math.nan)])
+    @pytest.mark.parametrize("fails", ["none", "up", "down"])
+    def test_gradient_matches_reference_bitwise(self, fails, failure):
+        f = scalar_function(fails, failure)
+        for rel_step in (1e-6, 1e-3):
+            grad = finite_diff_gradient(f, THETA, rel_step)
+            ref = reference_gradient(f, THETA, rel_step)
+            assert grad.dtype == ref.dtype and grad.shape == ref.shape
+            assert grad.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("fails", ["none", "up", "down"])
+    def test_jacobian_matches_reference_bitwise(self, fails):
+        f = vector_function(fails)
+        for rel_step in (1e-6, 1e-3):
+            jac = _fd_jacobian(f, THETA, rel_step)
+            ref = reference_jacobian(f, THETA, rel_step)
+            assert jac.dtype == ref.dtype and jac.shape == ref.shape
+            assert jac.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("fails", ["both", "expansion-point"])
+    def test_failed_stencil_raises(self, fails):
+        for reference, stencil, f in (
+            (reference_gradient, finite_diff_gradient, scalar_function(fails, math.inf)),
+            (reference_jacobian, _fd_jacobian, vector_function(fails)),
+        ):
+            with pytest.raises(EvaluationFailed) as ref_error:
+                reference(f, THETA, 1e-6)
+            with pytest.raises(EvaluationFailed) as error:
+                stencil(f, THETA, 1e-6)
+            assert ("expansion point" in str(error.value)) == (fails == "expansion-point")
+            assert ("expansion point" in str(ref_error.value)) == (fails == "expansion-point")
+
+    def test_gradient_accepts_a_failure_object(self):
+        grad = finite_diff_gradient(scalar_function("up", FAILURE), THETA)
+        ref = reference_gradient(scalar_function("up", math.inf), THETA)
+        assert grad.tobytes() == ref.tobytes()
 
 
 class TestFiniteDiffGradient:

@@ -15,7 +15,7 @@ from isalib import (
     toy2d_log_density,
 )
 from isalib.optimize import finite_diff_gradient
-from isalib.targets import builtin_regression_model
+from isalib.targets import TargetDensity, builtin_regression_model
 
 
 def toy_f(theta):
@@ -25,6 +25,31 @@ def toy_f(theta):
     return 1e-2 * np.linalg.norm(theta - center) ** 4 + 0.2 * math.sin(
         5.0 * np.linalg.norm(theta)
     )
+
+
+class TestIsFailure:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_floats_fail(self, value):
+        assert is_failure(value)
+        assert is_failure(np.float64(value))
+
+    def test_finite_values_and_arrays_do_not(self):
+        for value in (0.0, -1e308, np.float64(2.5), 3, np.array([np.nan, 1.0])):
+            assert not is_failure(value)
+        assert is_failure(Failure("x"))
+
+    def test_default_batch_loop_marks_nan_failed(self):
+        class NanRight(TargetDensity):
+            dimension = 2
+
+            def log_density(self, theta):
+                return math.nan if theta[0] > 0.0 else -float(theta @ theta)
+
+        thetas = np.array([[1.0, 0.0], [-1.0, 0.5], [0.5, 0.5]])
+        values, failed = NanRight().log_density_batch(thetas)
+        assert failed.tolist() == [True, False, True]
+        assert values.tolist() == [-math.inf, -1.25, -math.inf]
+        assert NanRight().neg_log_posterior(thetas[0]) == math.inf
 
 
 class TestToy2D:
@@ -149,6 +174,21 @@ class TestRegressionTarget:
         for _ in range(20):
             other = theta_ref + rng.standard_normal(3) * 0.1
             assert target.log_density(other) < base + 1e-6
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"noise_sd": [0.1, 0.2]}, {"prior_mean": np.zeros(3)}, {"prior_sd": np.ones(1)},
+         {"theta_ref": [1.0, 2.0, 3.0]}],
+        ids=["noise_sd", "prior_mean", "prior_sd", "theta_ref"],
+    )
+    def test_lengths_checked_before_the_model_runs(self, overrides):
+        def model(theta):
+            raise AssertionError("model called")
+
+        kwargs = dict(n_theta=2, n_z=5, noise_sd=0.1, prior_mean=np.zeros(2),
+                      prior_sd=np.ones(2), theta_ref=[1.0, 1.0], data_seed=0)
+        with pytest.raises(DomainError, match=next(iter(overrides))):
+            make_synthetic_regression(**{**kwargs, **overrides}, model=model)
 
     def test_builtin_model_is_deterministic(self):
         model = builtin_regression_model(3, 6)
