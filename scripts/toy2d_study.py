@@ -1,81 +1,14 @@
 #!/usr/bin/env python3
-"""Toy-problem study: compare MCMC-initialized and mixture-initialized
-iterative importance sampling on the 2-d multimodal target.
+"""Toy-problem study: MCMC-initialized and mixture-initialized iterative
+importance sampling on the 2-d multimodal target, one `isalib run` each with
+configs/toy2d_mcmc.json and configs/toy2d_gmm.json.  Extra arguments, such as
+--seed, go to both runs; the exit code is the first nonzero one."""
 
-Runs both initialization strategies, prints the R sequence for each, and
-writes traces plus triangle-plot exports under the output directory.
-"""
+import sys
 
-import argparse
-from pathlib import Path
-
-import numpy as np
-
-from isalib import (
-    IsaConfig,
-    Toy2DTarget,
-    build_gmm,
-    dedup_modes,
-    isa_run,
-    mcmc_init_ensemble,
-    multistart,
-    stretch_move_run,
-)
-from isalib.diagnostics import triangle_export
-
-
-def rng_for(seed):
-    return np.random.Generator(np.random.Philox(seed))
-
-
-def describe(name, trace):
-    rs = ", ".join(f"{r:.3g}" for r in trace.r_values())
-    print(f"{name}: stopped={trace.stopped_reason}  R sequence: {rs}")
-
-
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=2001)
-    parser.add_argument("--samples", type=int, default=20_000)
-    parser.add_argument("--out", default="out/toy2d_study")
-    args = parser.parse_args()
-
-    target = Toy2DTarget()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    # strategy 1: 20 early samples from a short stretch-move run
-    rng = rng_for(args.seed)
-    chain = stretch_move_run(target, n_walkers=4, n_steps=5, rng=rng)
-    init = mcmc_init_ensemble(chain, 20)
-    trace_mcmc = isa_run(
-        target,
-        init,
-        IsaConfig(samples_per_iteration=args.samples, max_iterations=5, seed=args.seed),
-        rng=rng,
-    )
-    describe("MCMC init", trace_mcmc)
-    trace_mcmc.save_json(out / "trace_mcmc.json")
-
-    # strategy 2: Gaussian mixture from 100 multistart minimizations
-    rng = rng_for(args.seed + 1)
-    modes = dedup_modes(multistart(target, 100, rng))
-    print(f"multistart found {len(modes)} distinct modes")
-    trace_gmm = isa_run(
-        target,
-        build_gmm(modes),
-        IsaConfig(samples_per_iteration=args.samples, max_iterations=3, seed=args.seed + 1),
-        rng=rng,
-    )
-    describe("GMM init", trace_gmm)
-    trace_gmm.save_json(out / "trace_gmm.json")
-
-    if trace_mcmc.final_ensemble is not None:
-        triangle_export(trace_mcmc.final_ensemble, out_dir=out / "triangle_mcmc")
-    if trace_gmm.final_ensemble is not None:
-        triangle_export(trace_gmm.final_ensemble, out_dir=out / "triangle_gmm")
-    print(f"outputs in {out}")
-
+from isalib.cli import main
 
 if __name__ == "__main__":
-    main()
+    codes = [main(["run", "--config", f"configs/toy2d_{init}.json"] + sys.argv[1:])
+             for init in ("mcmc", "gmm")]
+    sys.exit(next((code for code in codes if code), 0))

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import iact_ensemble, triangle_export
-from .ensemble import read_ensemble_csv, write_csv_table, write_ensemble_csv
+from .ensemble import read_ensemble_csv, write_csv_table, write_ensemble_csv, write_json
 from .errors import ConfigError, IsaError
 from .init import (
     DEDUP_CONFIDENCE_DEFAULT,
@@ -239,8 +239,6 @@ def cmd_run(config: RunConfig) -> int:
 
 
 def cmd_init_mcmc(config: RunConfig) -> int:
-    if "mcmc" not in config.init:
-        raise ConfigError("init-mcmc requires an init.mcmc section")
     target = build_target(config)
     ensemble = build_init(config, target, _rng(config.seed))
     out = Path(config.output_dir)
@@ -251,8 +249,6 @@ def cmd_init_mcmc(config: RunConfig) -> int:
 
 
 def cmd_init_gmm(config: RunConfig) -> int:
-    if "gmm" not in config.init:
-        raise ConfigError("init-gmm requires an init.gmm section")
     results, modes = _modes(config, build_target(config), _rng(config.seed))
     proposal = build_gmm(modes)
     out = Path(config.output_dir)
@@ -272,16 +268,12 @@ def cmd_init_gmm(config: RunConfig) -> int:
         ],
         "status_counts": counts,
     }
-    with open(out / "modes.json", "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    write_json(out / "modes.json", report)
     print(f"found {len(modes)} distinct modes from {len(results)} starts")
     return EXIT_OK
 
 
 def cmd_mcmc_baseline(config: RunConfig) -> int:
-    if "mcmc" not in config.init:
-        raise ConfigError("mcmc-baseline requires an init.mcmc section")
     chain = _chain(config, build_target(config), _rng(config.seed))
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -298,28 +290,25 @@ def cmd_mcmc_baseline(config: RunConfig) -> int:
         "acceptance_rate": chain.acceptance_rate,
         "iact": taus,
     }
-    with open(out / "iact.json", "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    write_json(out / "iact.json", report)
     print("IACT per coordinate: " + ", ".join(f"{t:.2f}" for t in taus))
     return EXIT_OK
 
 
 def cmd_export_triangle(config: RunConfig) -> int:
-    if "file" not in config.init:
-        raise ConfigError("export-triangle requires init.file with an ensemble CSV")
     ensemble = read_ensemble_csv(config.init["file"])
     files = triangle_export(ensemble, out_dir=config.output_dir)
     print(f"wrote {len(files)} files to {config.output_dir}")
     return EXIT_OK
 
 
+# each command and the init section it requires (`run` takes any of them)
 _COMMANDS = {
-    "run": cmd_run,
-    "init-mcmc": cmd_init_mcmc,
-    "init-gmm": cmd_init_gmm,
-    "mcmc-baseline": cmd_mcmc_baseline,
-    "export-triangle": cmd_export_triangle,
+    "run": (cmd_run, None),
+    "init-mcmc": (cmd_init_mcmc, "mcmc"),
+    "init-gmm": (cmd_init_gmm, "gmm"),
+    "mcmc-baseline": (cmd_mcmc_baseline, "mcmc"),
+    "export-triangle": (cmd_export_triangle, "file"),
 }
 
 
@@ -351,7 +340,10 @@ def main(argv=None) -> int:
             overrides["workers"] = args.workers
         # replace() runs RunConfig's validation on the overridden values
         config = dataclasses.replace(config, **overrides)
-        return _COMMANDS[args.command](config)
+        command, section = _COMMANDS[args.command]
+        if section is not None and section not in config.init:
+            raise ConfigError(f"{args.command} requires an init.{section} section")
+        return command(config)
     except (IsaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -42,16 +42,7 @@ def iact(chain) -> float:
     chain = np.asarray(chain, dtype=float)
     if chain.ndim != 1:
         raise DomainError("iact expects a 1-d chain; use iact_ensemble for 2-d")
-    if chain.size < MIN_CHAIN_LENGTH:
-        raise ChainTooShort(f"need at least {MIN_CHAIN_LENGTH} samples")
-    return _windowed_tau(_autocorrelation(chain))
-
-
-def _windowed_tau(rho: np.ndarray) -> float:
-    tau = 2.0 * np.cumsum(rho) - 1.0  # tau_hat(T) = 1 + 2 sum_{t=1..T} rho(t)
-    window = np.arange(len(tau)) >= SOKAL_C * tau
-    t = np.argmax(window) if window.any() else len(tau) - 1
-    return float(max(tau[t], 1e-12))
+    return iact_ensemble(chain[:, None])
 
 
 def iact_ensemble(chains: np.ndarray) -> float:
@@ -65,7 +56,10 @@ def iact_ensemble(chains: np.ndarray) -> float:
     rho = np.mean(
         [_autocorrelation(chains[:, w]) for w in range(chains.shape[1])], axis=0
     )
-    return _windowed_tau(rho)
+    tau = 2.0 * np.cumsum(rho) - 1.0  # tau_hat(T) = 1 + 2 sum_{t=1..T} rho(t)
+    window = np.arange(len(tau)) >= SOKAL_C * tau
+    t = np.argmax(window) if window.any() else len(tau) - 1
+    return float(max(tau[t], 1e-12))
 
 
 @dataclass(frozen=True)
@@ -102,12 +96,9 @@ def default_range(ensemble: WeightedEnsemble, coordinate_index: int) -> tuple:
     return default_ranges(ensemble)[coordinate_index]
 
 
-def weighted_histogram_1d(
-    ensemble: WeightedEnsemble,
-    coordinate_index: int,
-    bins: int = DEFAULT_BINS,
-    value_range: tuple | None = None,
-) -> Histogram1D:
+def _binned(ensemble: WeightedEnsemble, coordinate_index: int, bins: int, value_range):
+    """One coordinate's bin edges and each sample's bin by numpy's histogram
+    rule: x == edges[-1] is in the last bin, and -1 marks x out of range."""
     if bins < 1:
         raise DomainError("bins must be >= 1")
     if not 0 <= coordinate_index < ensemble.n_theta:
@@ -117,10 +108,35 @@ def weighted_histogram_1d(
         raise DomainError("histogram range must be increasing")
     edges = np.linspace(lo, hi, bins + 1)
     x = ensemble.samples[:, coordinate_index]
-    w = ensemble.weights
-    in_range = (x >= lo) & (x <= hi)
-    mass, _ = np.histogram(x[in_range], bins=edges, weights=w[in_range])
-    return Histogram1D(edges, mass, out_of_range=total(w[~in_range]))
+    index = np.searchsorted(edges, x, side="right") - 1
+    index[x == hi] = bins - 1
+    index[index == bins] = -1
+    return edges, index
+
+
+# Masses are np.bincount sums in sample order, so the 2-d ones are bitwise
+# np.histogram2d's; index + 1 puts the out-of-range samples in a dropped slot.
+def _histogram_1d(edges, index, weights) -> Histogram1D:
+    mass = np.bincount(index + 1, weights=weights, minlength=edges.size)[1:]
+    return Histogram1D(edges, mass, total(weights[index < 0]))
+
+
+def _histogram_2d(x_edges, x_index, y_edges, y_index, weights) -> Histogram2D:
+    cols = y_edges.size
+    flat = (x_index + 1) * cols + y_index + 1
+    mass = np.bincount(flat, weights=weights, minlength=x_edges.size * cols)
+    outside = weights[(x_index < 0) | (y_index < 0)]
+    return Histogram2D(x_edges, y_edges, mass.reshape(-1, cols)[1:, 1:], total(outside))
+
+
+def weighted_histogram_1d(
+    ensemble: WeightedEnsemble,
+    coordinate_index: int,
+    bins: int = DEFAULT_BINS,
+    value_range: tuple | None = None,
+) -> Histogram1D:
+    edges, index = _binned(ensemble, coordinate_index, bins, value_range)
+    return _histogram_1d(edges, index, ensemble.weights)
 
 
 def weighted_histogram_2d(
@@ -131,20 +147,9 @@ def weighted_histogram_2d(
     x_range: tuple | None = None,
     y_range: tuple | None = None,
 ) -> Histogram2D:
-    if bins < 1:
-        raise DomainError("bins must be >= 1")
-    x_lo, x_hi = x_range or default_range(ensemble, index_x)
-    y_lo, y_hi = y_range or default_range(ensemble, index_y)
-    x_edges = np.linspace(x_lo, x_hi, bins + 1)
-    y_edges = np.linspace(y_lo, y_hi, bins + 1)
-    x = ensemble.samples[:, index_x]
-    y = ensemble.samples[:, index_y]
-    w = ensemble.weights
-    in_range = (x >= x_lo) & (x <= x_hi) & (y >= y_lo) & (y <= y_hi)
-    mass, _, _ = np.histogram2d(
-        x[in_range], y[in_range], bins=(x_edges, y_edges), weights=w[in_range]
-    )
-    return Histogram2D(x_edges, y_edges, mass, out_of_range=total(w[~in_range]))
+    x_edges, x_index = _binned(ensemble, index_x, bins, x_range)
+    y_edges, y_index = _binned(ensemble, index_y, bins, y_range)
+    return _histogram_2d(x_edges, x_index, y_edges, y_index, ensemble.weights)
 
 
 def triangle_export(
@@ -155,11 +160,12 @@ def triangle_export(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     d = ensemble.n_theta
-    ranges = default_ranges(ensemble)
+    w = ensemble.weights
+    binned = [_binned(ensemble, i, bins, r) for i, r in enumerate(default_ranges(ensemble))]
     written: list[Path] = []
     hists1d = []
     for i in range(d):
-        hist = weighted_histogram_1d(ensemble, i, bins, value_range=ranges[i])
+        hist = _histogram_1d(*binned[i], w)
         hists1d.append(hist)
         path = out / f"hist_theta_{i}.csv"
         write_csv_table(
@@ -171,9 +177,7 @@ def triangle_export(
     hists2d = {}
     for i in range(d):
         for j in range(i + 1, d):
-            hist = weighted_histogram_2d(
-                ensemble, i, j, bins, x_range=ranges[i], y_range=ranges[j]
-            )
+            hist = _histogram_2d(*binned[i], *binned[j], w)
             hists2d[(i, j)] = hist
             path = out / f"hist2d_theta_{i}_theta_{j}.csv"
             _write_hist2d_csv(path, hist)

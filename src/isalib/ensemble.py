@@ -8,6 +8,7 @@ is N_eff = N / R.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass
 
@@ -173,6 +174,13 @@ def write_csv_table(path, header, table) -> None:
         for start in range(0, table.shape[0], CSV_BLOCK_ROWS):
             block = table[start : start + CSV_BLOCK_ROWS]
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+
+
+def write_json(path, data) -> None:
+    """Write `data` as JSON indented by two spaces, with a final newline."""
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2)
+        fh.write("\n")
 
 
 def write_ensemble_csv(ensemble: WeightedEnsemble, path) -> None:

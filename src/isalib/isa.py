@@ -8,7 +8,6 @@ below the tolerance.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass
 
@@ -19,6 +18,7 @@ from .ensemble import (
     WeightedEnsemble,
     estimate_r,
     self_normalize,
+    write_json,
 )
 from .errors import AllWeightsZero, DegenerateEnsemble, DomainError
 from .proposals import fit_gaussian, fit_student_t
@@ -28,6 +28,11 @@ FAMILIES = ("gaussian", "student_t")
 # an estimate from N_e samples is capped near N_e, so large values are
 # uncertain and must not trigger the stopping rule
 SATURATION_FRACTION = 0.5
+# a refit that fails for too few effective samples draws again from the
+# current proposal with its spread times WIDEN_FACTOR, at most MAX_WIDENINGS
+# times per run: the simplest defensive proposal (Hesterberg 1995)
+WIDEN_FACTOR = 4.0
+MAX_WIDENINGS = 3
 
 
 @dataclass(frozen=True)
@@ -70,6 +75,7 @@ class IterationRecord:
     proposal: dict  # proposal snapshot (serialized form)
     max_weight: float  # largest self-normalized weight
     saturated: bool  # r >= SATURATION_FRACTION * n_e: too large to trust
+    widened: bool  # drawn from a widened proposal, not from a refit
 
 
 @dataclass(frozen=True)
@@ -97,6 +103,7 @@ class IterationTrace:
                     "proposal": rec.proposal,
                     "max_weight": rec.max_weight,
                     "saturated": rec.saturated,
+                    "widened": rec.widened,
                 }
                 for rec in self.records
             ],
@@ -104,9 +111,7 @@ class IterationTrace:
         }
 
     def save_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
 
 def parallel_map_density(target, thetas):
@@ -161,8 +166,10 @@ def isa_run(
     a proposal object used directly for the first draw.  Stops when the
     relative change |R_k+1 - R_k| / R_k falls below config.tol (and the
     estimate is not saturated), at max_iterations, or on collapse; collapse
-    is recorded in stopped_reason, not raised.  `workers` is accepted for
-    compatibility and ignored: each draw is evaluated as one batch.
+    is recorded in stopped_reason, not raised.  Collapse is a degenerate
+    initial ensemble, a draw whose weights are all zero, or a failed refit
+    once MAX_WIDENINGS are used.  `workers` is accepted for compatibility
+    and ignored: each draw is evaluated as one batch.
     """
     rng = rng or np.random.Generator(np.random.Philox(config.seed))
     records: list[IterationRecord] = []
@@ -177,6 +184,8 @@ def isa_run(
 
     stopped = "max_iterations"
     prev_r = None
+    widenings = 0
+    widened = False
     for k in range(1, config.max_iterations + 1):
         t0 = time.perf_counter()
         try:
@@ -198,6 +207,7 @@ def isa_run(
                 proposal=proposal.to_dict(),
                 max_weight=float(ensemble.weights.max()),
                 saturated=saturated,
+                widened=widened,
             )
         )
         if (
@@ -212,7 +222,12 @@ def isa_run(
         if k < config.max_iterations:
             try:
                 proposal = _fit(ensemble, config)
+                widened = False
             except DegenerateEnsemble:
-                stopped = "collapsed"
-                break
+                if widenings == MAX_WIDENINGS:
+                    stopped = "collapsed"
+                    break
+                widenings += 1
+                proposal = proposal.widened(WIDEN_FACTOR)
+                widened = True
     return IterationTrace(tuple(records), stopped, proposal, ensemble, config)

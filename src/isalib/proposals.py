@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import gammaln, logsumexp
 
-from .ensemble import WeightedEnsemble, weighted_covariance, weighted_mean
+from .ensemble import WeightedEnsemble, weighted_covariance, weighted_mean, write_json
 from .errors import DomainError
 from .linalg import chol_logdet, spd_repair, total
 
@@ -31,13 +31,26 @@ def _validated_spd(matrix) -> tuple[np.ndarray, np.ndarray]:
     return spd_repair(a)
 
 
-def _whiten(chol: np.ndarray, dev: np.ndarray) -> np.ndarray:
-    """Solve L y = dev^T for each row of dev; returns shape (n, d)."""
-    return solve_triangular(chol, dev.T, lower=True).T
+def _mahalanobis(chol: np.ndarray, dev: np.ndarray) -> np.ndarray:
+    """Squared length of each row of dev whitened by L (solve L y = dev^T)."""
+    y = solve_triangular(chol, dev.T, lower=True).T
+    return np.einsum("ij,ij->i", y, y)
+
+
+class _Proposal:
+    """The draw-count check and the single-point density of every family."""
+
+    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        if count < 1:
+            raise DomainError("count must be >= 1")
+        return self._draw(rng, count)
+
+    def log_density(self, theta) -> float:
+        return float(self.log_density_batch(np.asarray(theta)[None, :])[0])
 
 
 @dataclass(frozen=True)
-class GaussianProposal:
+class GaussianProposal(_Proposal):
     mean: np.ndarray
     covariance: np.ndarray
     chol: np.ndarray = field(repr=False, default=None)
@@ -55,21 +68,22 @@ class GaussianProposal:
     def dimension(self) -> int:
         return self.mean.size
 
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        if count < 1:
-            raise DomainError("count must be >= 1")
-        z = rng.standard_normal((count, self.dimension))
+    def _draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        return self._transform(rng.standard_normal((count, self.dimension)))
+
+    def _transform(self, z: np.ndarray) -> np.ndarray:
+        """Map standard-normal rows z to draws from this proposal."""
         return self.mean + z @ self.chol.T
+
+    def widened(self, factor: float) -> "GaussianProposal":
+        """The same proposal with its covariance multiplied by `factor`."""
+        return GaussianProposal(self.mean, factor * self.covariance)
 
     def log_density_batch(self, thetas) -> np.ndarray:
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        y = _whiten(self.chol, thetas - self.mean)
-        maha = np.einsum("ij,ij->i", y, y)
+        maha = _mahalanobis(self.chol, thetas - self.mean)
         d = self.dimension
         return -0.5 * (maha + d * math.log(2.0 * math.pi) + chol_logdet(self.chol))
-
-    def log_density(self, theta) -> float:
-        return float(self.log_density_batch(np.asarray(theta)[None, :])[0])
 
     def to_dict(self) -> dict:
         return {
@@ -80,7 +94,7 @@ class GaussianProposal:
 
 
 @dataclass(frozen=True)
-class StudentTProposal:
+class StudentTProposal(_Proposal):
     location: np.ndarray
     scale_matrix: np.ndarray
     nu: float
@@ -105,17 +119,18 @@ class StudentTProposal:
     def covariance(self) -> np.ndarray:
         return self.nu / (self.nu - 2.0) * self.scale_matrix
 
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        if count < 1:
-            raise DomainError("count must be >= 1")
+    def _draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
         z = rng.standard_normal((count, self.dimension))
         g = rng.chisquare(self.nu, size=count)
         return self.location + (z @ self.chol.T) * np.sqrt(self.nu / g)[:, None]
 
+    def widened(self, factor: float) -> "StudentTProposal":
+        """The same proposal with its scale matrix multiplied by `factor`."""
+        return StudentTProposal(self.location, factor * self.scale_matrix, self.nu)
+
     def log_density_batch(self, thetas) -> np.ndarray:
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        y = _whiten(self.chol, thetas - self.location)
-        maha = np.einsum("ij,ij->i", y, y)
+        maha = _mahalanobis(self.chol, thetas - self.location)
         d = self.dimension
         nu = self.nu
         const = (
@@ -125,9 +140,6 @@ class StudentTProposal:
             - 0.5 * chol_logdet(self.chol)
         )
         return const - 0.5 * (nu + d) * np.log1p(maha / nu)
-
-    def log_density(self, theta) -> float:
-        return float(self.log_density_batch(np.asarray(theta)[None, :])[0])
 
     def to_dict(self) -> dict:
         return {
@@ -139,7 +151,7 @@ class StudentTProposal:
 
 
 @dataclass(frozen=True)
-class GaussianMixtureProposal:
+class GaussianMixtureProposal(_Proposal):
     components: tuple
     psi: np.ndarray
 
@@ -147,6 +159,8 @@ class GaussianMixtureProposal:
         comps = tuple(self.components)
         if len(comps) < 1:
             raise DomainError("mixture needs at least one component")
+        if not all(isinstance(c, GaussianProposal) for c in comps):
+            raise DomainError("mixture components must be Gaussian")
         d = comps[0].dimension
         if any(c.dimension != d for c in comps):
             raise DomainError("mixture components disagree in dimension")
@@ -162,9 +176,7 @@ class GaussianMixtureProposal:
     def dimension(self) -> int:
         return self.components[0].dimension
 
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        if count < 1:
-            raise DomainError("count must be >= 1")
+    def _draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
         edges = np.cumsum(self.psi)
         idx = np.searchsorted(edges, rng.random(count), side="right")
         idx = np.minimum(idx, len(self.components) - 1)
@@ -173,8 +185,14 @@ class GaussianMixtureProposal:
         for j, comp in enumerate(self.components):
             mask = idx == j
             if mask.any():
-                out[mask] = comp.mean + z[mask] @ comp.chol.T
+                out[mask] = comp._transform(z[mask])
         return out
+
+    def widened(self, factor: float) -> "GaussianMixtureProposal":
+        """Every component widened by `factor`, with the same weights psi."""
+        return GaussianMixtureProposal(
+            tuple(c.widened(factor) for c in self.components), self.psi
+        )
 
     def log_density_batch(self, thetas) -> np.ndarray:
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
@@ -184,9 +202,6 @@ class GaussianMixtureProposal:
         with np.errstate(divide="ignore"):
             log_psi = np.log(self.psi)
         return logsumexp(parts + log_psi[:, None], axis=0)
-
-    def log_density(self, theta) -> float:
-        return float(self.log_density_batch(np.asarray(theta)[None, :])[0])
 
     def to_dict(self) -> dict:
         return {
@@ -226,25 +241,20 @@ def gmm_weights(phi) -> np.ndarray:
 
 def proposal_from_dict(data: dict):
     family = data.get("family")
-    d = len(data.get("mean", [])) if "mean" in data else None
-    if family == "gaussian":
-        cov = np.asarray(data["covariance"], dtype=float).reshape(d, d)
-        return GaussianProposal(np.asarray(data["mean"], dtype=float), cov)
-    if family == "student_t":
-        cov = np.asarray(data["covariance"], dtype=float).reshape(d, d)
-        return StudentTProposal(
-            np.asarray(data["mean"], dtype=float), cov, float(data["nu"])
-        )
     if family == "gaussian_mixture":
         comps = [proposal_from_dict(c) for c in data["components"]]
         return GaussianMixtureProposal(tuple(comps), np.asarray(data["psi"], dtype=float))
-    raise DomainError(f"unknown proposal family: {family!r}")
+    if family not in ("gaussian", "student_t"):
+        raise DomainError(f"unknown proposal family: {family!r}")
+    mean = np.asarray(data["mean"], dtype=float)
+    cov = np.asarray(data["covariance"], dtype=float).reshape(mean.size, mean.size)
+    if family == "gaussian":
+        return GaussianProposal(mean, cov)
+    return StudentTProposal(mean, cov, float(data["nu"]))
 
 
 def save_proposal(proposal, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(proposal.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(path, proposal.to_dict())
 
 
 def load_proposal(path):

@@ -216,7 +216,8 @@ class TestRunCommand:
 
     def test_refit_collapse_keeps_trace_and_ensemble(self, tmp_path):
         # a proposal far broader than a narrow target: one draw carries
-        # nearly all the weight, so the first refit collapses
+        # nearly all the weight, so every refit collapses; after the three
+        # widenings the fourth failed refit ends the run
         rng = np.random.Generator(np.random.Philox(0))
         samples = 10.0 * rng.standard_normal((200, 2))
         lines = ["weight,theta_0,theta_1"] + [
@@ -228,7 +229,7 @@ class TestRunCommand:
             "target": "gaussian",
             "gaussian": {"mean": [0.0, 0.0], "covariance": [1e-4, 0.0, 0.0, 1e-4]},
             "init": {"file": str(ens_path)},
-            "isa": {"samples": 200, "max_iterations": 4},
+            "isa": {"samples": 200, "max_iterations": 5},
             "seed": 1,
             "output_dir": str(tmp_path / "out"),
         }
@@ -237,7 +238,7 @@ class TestRunCommand:
         out_dir = tmp_path / "out"
         trace = json.loads((out_dir / "trace.json").read_text())
         assert trace["stopped_reason"] == "collapsed"
-        assert len(trace["records"]) == 1
+        assert len(trace["records"]) == 4
         assert read_ensemble_csv(out_dir / "ensemble.csv").n == 200
         assert not (out_dir / "triangle.svg").exists()
 
@@ -392,6 +393,19 @@ class TestGoldenRSequences:
         np.testing.assert_allclose(
             r, [132.85359059570453, 1.1459872123662775, 1.106524697020259], rtol=1e-9
         )
+
+
+class TestRefitWidening:
+    def test_toy2d_mcmc_seed_138_recovers(self, tmp_path):
+        # this seed's first draw has 2.8 effective samples, too few to
+        # refit; the widened proposal's draw can be refit and the run converges
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(CONFIGS / "toy2d_mcmc.json"),
+                     "--seed", "138", "--output", str(out)])
+        trace = json.loads((out / "trace.json").read_text())
+        assert (code, trace["stopped_reason"]) == (EXIT_OK, "converged")
+        assert [rec["widened"] for rec in trace["records"]][:2] == [False, True]
+        assert (out / "triangle.svg").exists()
 
 
 class TestInitCommands:

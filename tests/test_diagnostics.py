@@ -127,8 +127,50 @@ class TestHistograms:
         with pytest.raises(DomainError):
             weighted_histogram_1d(ens, 0, value_range=(1.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"index_y": 1, "x_range": (1.0, 1.0)}, {"index_y": 5}],
+        ids=["zero-width-range", "index-out-of-range"],
+    )
+    def test_bad_2d_arguments(self, kwargs):
+        with pytest.raises(DomainError):
+            weighted_histogram_2d(self.ensemble(), 0, **kwargs)
+
 
 class TestTriangleExport:
+    def test_masses_match_numpy_histograms(self, tmp_path):
+        # the export bins each coordinate once; its 2-d masses are bitwise
+        # those of np.histogram2d, its 1-d masses direct sums that np.histogram
+        # (differences of a cumulative sum) matches to rounding
+        rng = rng_for(11)
+        samples = rng.standard_normal((20_000, 3)) * [1.0, 0.5, 2.0]
+        ens = WeightedEnsemble.from_log_weights(samples, rng.standard_normal(20_000))
+        triangle_export(ens, bins=20, out_dir=tmp_path)
+
+        def table(name):
+            with open(tmp_path / name, newline="") as fh:
+                return np.array([[float(v) for v in row] for row in list(csv.reader(fh))[1:]])
+
+        w = ens.weights
+        edges = []
+        for i in range(3):
+            rows = table(f"hist_theta_{i}.csv")
+            edges.append(np.append(rows[:, 0], rows[-1, 1]))
+            x = samples[:, i]
+            inside = (x >= edges[i][0]) & (x <= edges[i][-1])
+            ref, _ = np.histogram(x[inside], bins=edges[i], weights=w[inside])
+            np.testing.assert_allclose(rows[:, 2], ref, rtol=0.0, atol=1e-14)
+        for i in range(3):
+            for j in range(i + 1, 3):
+                x, y = samples[:, i], samples[:, j]
+                inside = ((x >= edges[i][0]) & (x <= edges[i][-1])
+                          & (y >= edges[j][0]) & (y <= edges[j][-1]))
+                ref, _, _ = np.histogram2d(
+                    x[inside], y[inside], bins=(edges[i], edges[j]), weights=w[inside]
+                )
+                mass = table(f"hist2d_theta_{i}_theta_{j}.csv")[:, 4].reshape(20, 20)
+                assert np.array_equal(mass, ref)
+
     def test_files_written(self, tmp_path):
         rng = rng_for(6)
         ens = WeightedEnsemble.uniform(rng.standard_normal((500, 3)))

@@ -19,7 +19,12 @@ from isalib import (
     weighted_covariance,
     weighted_mean,
 )
-from isalib.isa import SATURATION_FRACTION, parallel_map_density
+from isalib.isa import (
+    MAX_WIDENINGS,
+    SATURATION_FRACTION,
+    WIDEN_FACTOR,
+    parallel_map_density,
+)
 
 
 def rng_for(seed):
@@ -279,13 +284,14 @@ class TestTraceSerialization:
         assert data["config"]["seed"] == 14
 
     def test_weight_health_fields(self, tmp_path):
-        # a narrow target under a wide proposal: the first draw's R is near
-        # its cap N (n_eff <= 2), so it is saturated and its refit collapses
+        # a narrow target under a wide proposal: each draw's R is near its
+        # cap N (n_eff <= 2), so it is saturated and its refit collapses;
+        # the run widens three times, then collapses
         n = 400
         narrow = isa_run(
             GaussianTarget(np.zeros(2), 1e-3 * np.eye(2)),
             GaussianProposal(np.zeros(2), np.eye(2)),
-            IsaConfig(samples_per_iteration=n, max_iterations=3, seed=3),
+            IsaConfig(samples_per_iteration=n, max_iterations=5, seed=3),
         )
         wide = isa_run(
             std_target(),
@@ -306,7 +312,22 @@ class TestTraceSerialization:
                 assert rec["r"] <= n * w_max * (1 + 1e-12)
             assert records[-1]["max_weight"] == trace.final_ensemble.weights.max()
         assert narrow.stopped_reason == "collapsed"
-        assert saturated == {"narrow": [True], "wide": [False, False]}
+        assert saturated == {"narrow": [True] * 4, "wide": [False, False]}
+
+    def test_failed_refits_widen_then_collapse(self):
+        # every draw of a narrow target under a wide proposal is too
+        # degenerate to refit: each failed refit widens the last proposal,
+        # and the one after the last widening ends the run
+        trace = isa_run(
+            GaussianTarget(np.zeros(2), 1e-3 * np.eye(2)),
+            GaussianProposal(np.zeros(2), np.eye(2)),
+            IsaConfig(samples_per_iteration=400, max_iterations=10, seed=3),
+        )
+        assert trace.stopped_reason == "collapsed"
+        assert [rec.widened for rec in trace.records] == [False] + [True] * MAX_WIDENINGS
+        covs = [np.asarray(rec.proposal["covariance"]) for rec in trace.records]
+        for before, after in zip(covs, covs[1:]):
+            np.testing.assert_array_equal(after, WIDEN_FACTOR * before)
 
     def test_records_monotone_k(self):
         prop = GaussianProposal(np.zeros(2), np.eye(2))

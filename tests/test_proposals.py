@@ -120,6 +120,44 @@ class TestMixture:
         with pytest.raises(DomainError):
             GaussianMixtureProposal((comp, comp), np.array([0.5, 0.6]))
 
+    def test_student_t_component_rejected(self):
+        data = {
+            "family": "gaussian_mixture",
+            "psi": [1.0],
+            "components": [StudentTProposal(np.zeros(2), np.eye(2), nu=3.0).to_dict()],
+        }
+        with pytest.raises(DomainError):
+            proposal_from_dict(data)
+
+
+class TestWidened:
+    @pytest.mark.parametrize(
+        "proposal",
+        [
+            GaussianProposal(np.array([1.0, 2.0]), np.array([[2.0, 0.3], [0.3, 1.0]])),
+            StudentTProposal(np.array([0.0, 1.0]), np.eye(2), nu=3.0),
+            GaussianMixtureProposal(
+                (
+                    GaussianProposal(np.zeros(2), np.eye(2)),
+                    GaussianProposal(np.ones(2), 2.0 * np.eye(2)),
+                ),
+                np.array([0.25, 0.75]),
+            ),
+        ],
+        ids=["gaussian", "student_t", "mixture"],
+    )
+    def test_spread_scaled_center_kept(self, proposal):
+        wide = proposal.widened(4.0)
+        assert type(wide) is type(proposal)
+        before, after = proposal.to_dict(), wide.to_dict()
+        pairs = list(zip(before.get("components", [before]),
+                         after.get("components", [after])))
+        assert after.get("psi") == before.get("psi")
+        assert after.get("nu") == before.get("nu")
+        for old, new in pairs:
+            assert new["mean"] == old["mean"]
+            np.testing.assert_array_equal(new["covariance"], 4.0 * np.asarray(old["covariance"]))
+
 
 class TestFitting:
     def test_fit_gaussian_recovers_standard_normal(self):
