@@ -12,8 +12,8 @@ import argparse
 import dataclasses
 import json
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +22,6 @@ from .diagnostics import iact_ensemble, triangle_export
 from .ensemble import read_ensemble_csv, write_csv_table, write_ensemble_csv, write_json
 from .errors import ConfigError, IsaError
 from .init import (
-    DEDUP_CONFIDENCE_DEFAULT,
-    STRETCH_A_DEFAULT,
     build_gmm,
     dedup_modes,
     default_walker_count,
@@ -52,24 +50,73 @@ _STOP_TO_EXIT = {
 }
 
 
-@contextmanager
-def _config_values(section: str):
-    """Report a config value that is missing or not a number as one
-    ConfigError.  Only conversions run inside, before any algorithm, so an
-    algorithm's own errors are never relabelled as config errors."""
-    try:
-        yield
-    except KeyError as exc:
-        raise ConfigError(f"{section} missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed {section}: {exc}") from exc
+def _section(name: str, types: dict, value, required=()) -> dict:
+    """The keyword arguments in config section `name`: each key present in
+    `value`, converted by its entry in `types`.  A section that is not an
+    object, an unknown or missing key, or a value that does not convert is
+    one ConfigError naming the section.  Absent keys are left out, so the
+    call that takes the arguments supplies its own defaults."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object")
+    unknown = sorted(set(value) - set(types))
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {unknown}")
+    missing = [key for key in required if key not in value]
+    if missing:
+        raise ConfigError(f"{name} missing key {missing[0]!r}")
+    values = {}
+    for key, item in value.items():
+        try:
+            values[key] = types[key](item)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed {name}.{key}: {exc}") from exc
+    return values
+
+
+_floats = partial(np.asarray, dtype=float)
+
+
+def _without(values: dict, *keys) -> dict:
+    return {key: item for key, item in values.items() if key not in keys}
+
+
+# each section's keys and their types; a nested section is read by its own
+# table when the config is loaded
+_CONFIG = {
+    "target": str,
+    "init": partial(_section, "init", {
+        "mcmc": partial(_section, "init.mcmc",
+                        {"walkers": int, "steps": int, "keep": int, "a": float},
+                        required=("steps", "keep")),
+        "gmm": partial(_section, "init.gmm", {"n_starts": int, "confidence": float},
+                       required=("n_starts",)),
+        "file": str,
+    }),
+    "isa": partial(_section, "isa", {
+        "samples": int, "max_iterations": int, "tol": float, "inflation": float,
+        "family": str, "nu": float,
+    }),
+    "opt": partial(_section, "opt", {
+        "rel_step": float, "f_tol": float, "grad_tol": float, "max_iter": int,
+    }),
+    "gaussian": partial(_section, "gaussian", {"mean": _floats, "covariance": _floats}),
+    "regression": partial(_section, "regression", {
+        "n_theta": int, "n_z": int, "noise_sd": _floats, "prior_mean": _floats,
+        "prior_sd": _floats, "theta_ref": _floats, "data_seed": int,
+    }, required=("n_theta", "n_z", "noise_sd", "prior_mean", "prior_sd", "theta_ref")),
+    "seed": int,
+    "workers": int,
+    "output_dir": str,
+}
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A run config, each section already converted by `_CONFIG`."""
+
     target: str
-    init: dict
-    isa: dict
+    init: dict = field(default_factory=dict)
+    isa: dict = field(default_factory=dict)
     seed: int = 0
     workers: int = 1  # accepted and validated; has no effect
     output_dir: str = "out"
@@ -82,37 +129,12 @@ class RunConfig:
             raise ConfigError(f"unknown target {self.target!r}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        init_keys = [k for k in ("mcmc", "gmm", "file") if k in self.init]
-        if len(init_keys) != 1:
+        if len(self.init) != 1:
             raise ConfigError("init must contain exactly one of mcmc / gmm / file")
-        if "mcmc" in self.init:
-            mcmc = self.init["mcmc"]
-            if "walkers" in mcmc and int(mcmc["walkers"]) < 4:
-                raise ConfigError("mcmc init needs at least 4 walkers")
-            if int(mcmc.get("steps", 0)) < 1 or int(mcmc.get("keep", 0)) < 1:
-                raise ConfigError("mcmc init needs steps >= 1 and keep >= 1")
-        if "gmm" in self.init and int(self.init["gmm"].get("n_starts", 0)) < 1:
-            raise ConfigError("gmm init needs n_starts >= 1")
 
     @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("config root must be a JSON object")
-        unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        with _config_values("config"):
-            return cls(
-                target=data["target"],
-                init=dict(data.get("init", {})),
-                isa=dict(data.get("isa", {})),
-                seed=int(data.get("seed", 0)),
-                workers=int(data.get("workers", 1)),
-                output_dir=str(data.get("output_dir", "out")),
-                gaussian=data.get("gaussian"),
-                regression=data.get("regression"),
-                opt=dict(data.get("opt", {})),
-            )
+    def from_dict(cls, data) -> "RunConfig":
+        return cls(**_section("config", _CONFIG, data, required=("target",)))
 
     @classmethod
     def load(cls, path) -> "RunConfig":
@@ -131,48 +153,19 @@ def build_target(config: RunConfig):
         return Toy2DTarget()
     if config.target == "gaussian":
         spec = config.gaussian or {}
-        with _config_values("gaussian config"):
-            mean = np.asarray(spec.get("mean", [0.0, 0.0]), dtype=float)
-            dim = mean.size
-            cov = np.asarray(
-                spec.get("covariance", np.eye(dim).ravel().tolist()), dtype=float
-            ).reshape(dim, dim)
-        return gaussian_target(mean, cov)
-    spec = config.regression or {}
-    with _config_values("regression config"):
-        values = {
-            "n_theta": int(spec["n_theta"]),
-            "n_z": int(spec["n_z"]),
-            "data_seed": int(spec.get("data_seed", 0)),
-        }
-        for key in ("noise_sd", "prior_mean", "prior_sd", "theta_ref"):
-            values[key] = np.asarray(spec[key], dtype=float)
-    return make_synthetic_regression(**values)
+        mean = spec.get("mean", np.zeros(2))
+        cov = spec.get("covariance", np.eye(mean.size))
+        if cov.size != mean.size**2:
+            raise ConfigError(f"gaussian covariance needs {mean.size**2} entries")
+        return gaussian_target(mean, cov.reshape(mean.size, mean.size))
+    if config.regression is None:
+        raise ConfigError("target 'regression' needs a regression section")
+    return make_synthetic_regression(**{"data_seed": 0, **config.regression})
 
 
 def build_isa_config(config: RunConfig) -> IsaConfig:
-    spec = config.isa
-    with _config_values("isa config"):
-        values = {
-            "samples_per_iteration": int(spec.get("samples", 1000)),
-            "max_iterations": int(spec.get("max_iterations", 10)),
-            "tol": float(spec.get("tol", 0.05)),
-            "inflation": float(spec.get("inflation", 1.0)),
-            "family": str(spec.get("family", "gaussian")),
-            "nu": float(spec.get("nu", 3.0)),
-        }
-    return IsaConfig(**values, seed=config.seed)
-
-
-def build_opt_settings(config: RunConfig) -> OptSettings:
-    spec = config.opt
-    with _config_values("opt config"):
-        return OptSettings(
-            rel_step=float(spec.get("rel_step", 1e-6)),
-            f_tol=float(spec.get("f_tol", 1e-10)),
-            grad_tol=float(spec.get("grad_tol", 1e-6)),
-            max_iter=int(spec.get("max_iter", 200)),
-        )
+    samples = config.isa.get("samples", 1000)
+    return IsaConfig(samples, seed=config.seed, **_without(config.isa, "samples"))
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -183,29 +176,27 @@ def _chain(config: RunConfig, target, rng):
     """The stretch-move chain of `init.mcmc`; without `walkers` it runs
     default_walker_count(n_theta) walkers."""
     spec = config.init["mcmc"]
-    with _config_values("init.mcmc config"):
-        walkers = int(spec.get("walkers", default_walker_count(target.dimension)))
-        steps = int(spec["steps"])
-        a = float(spec.get("a", STRETCH_A_DEFAULT))
-    return stretch_move_run(target, n_walkers=walkers, n_steps=steps, a=a, rng=rng)
+    return stretch_move_run(
+        target,
+        n_walkers=spec.get("walkers", default_walker_count(target.dimension)),
+        n_steps=spec["steps"],
+        rng=rng,
+        **_without(spec, "walkers", "steps", "keep"),
+    )
 
 
 def _modes(config: RunConfig, target, rng):
     """The multistart results of `init.gmm` and their distinct modes."""
     spec = config.init["gmm"]
-    settings = build_opt_settings(config)
-    with _config_values("init.gmm config"):
-        n_starts = int(spec["n_starts"])
-        confidence = float(spec.get("confidence", DEDUP_CONFIDENCE_DEFAULT))
-    results = multistart(target, n_starts, rng, settings=settings)
-    return results, dedup_modes(results, confidence)
+    results = multistart(target, spec["n_starts"], rng, settings=OptSettings(**config.opt))
+    return results, dedup_modes(results, **_without(spec, "n_starts"))
 
 
 def build_init(config: RunConfig, target, rng):
     """Return the ISA starting point: a WeightedEnsemble or a proposal."""
     if "mcmc" in config.init:
         chain = _chain(config, target, rng)
-        return mcmc_init_ensemble(chain, int(config.init["mcmc"]["keep"]))
+        return mcmc_init_ensemble(chain, config.init["mcmc"]["keep"])
     if "gmm" in config.init:
         return build_gmm(_modes(config, target, rng)[1])
     return read_ensemble_csv(config.init["file"])

@@ -245,11 +245,12 @@ def _bar_panel(hist: Histogram1D, x0: float, y0: float) -> str:
     ]
     for b in range(bins):
         h = PANEL * float(hist.mass[b]) / peak
-        if h <= 0.0:
+        height = f"{h:.2f}"
+        if height == "0.00":  # an empty bin, or one too light to see
             continue
         rects.append(
             f'<rect x="{x0 + b * width:.2f}" y="{y0 + PANEL - h:.2f}" '
-            f'width="{width:.2f}" height="{h:.2f}" fill="gray"/>'
+            f'width="{width:.2f}" height="{height}" fill="gray"/>'
         )
     return "\n".join(rects)
 
@@ -270,10 +271,9 @@ def _heat_panel(hist: Histogram2D, x0: float, y0: float) -> str:
         f'width="{cell:.2f}" height="{cell:.2f}" '
         for b in range(bins)
     ]
-    for column, values in zip(columns, (hist.mass / peak).tolist()):
-        for row, value in zip(rows, values):
-            if value <= 0.0:
-                continue
-            shade = int(round(255 * (1.0 - value)))
-            rects.append(f'{column}{row}fill="rgb({shade},{shade},{shade})"/>')
+    shades = np.rint(255.0 * (1.0 - hist.mass / peak)).astype(int).tolist()
+    for column, column_shades in zip(columns, shades):
+        for row, shade in zip(rows, column_shades):
+            if shade < 255:  # 255 is white on white: empty, or too light to see
+                rects.append(f'{column}{row}fill="rgb({shade},{shade},{shade})"/>')
     return "\n".join(rects)

@@ -1,21 +1,30 @@
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import isalib.cli
 from isalib.cli import (
     EXIT_COLLAPSED,
     EXIT_ERROR,
     EXIT_MAX_ITERATIONS,
     EXIT_OK,
     RunConfig,
+    build_isa_config,
+    build_target,
     main,
 )
-from isalib.ensemble import read_ensemble_csv
+from isalib.ensemble import WeightedEnsemble, read_ensemble_csv, write_ensemble_csv
 from isalib.errors import ConfigError
 from isalib.init import stretch_move_run
-from isalib.targets import Toy2DTarget
+from isalib.optimize import OptSettings
+from isalib.targets import GaussianTarget, Toy2DTarget
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -87,15 +96,27 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig.from_dict({"target": "toy2d", "init": {}, "isa": {}})
 
-    def test_walker_floor(self):
-        with pytest.raises(ConfigError):
-            RunConfig.from_dict(
-                {
-                    "target": "toy2d",
-                    "init": {"mcmc": {"walkers": 3, "steps": 1, "keep": 1}},
-                    "isa": {},
-                }
-            )
+    def test_walker_floor(self, tmp_path, capsys):
+        # stretch_move_run, not the config reader, checks the walker count
+        data = toy_run_config(tmp_path, init={"mcmc": {"walkers": 3, "steps": 1, "keep": 1}})
+        assert main(["run", "--config", write_config(tmp_path, data)]) == EXIT_ERROR
+        assert_one_line_error(capsys.readouterr().err, "at least 4 walkers")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=[path.stem for path in CONFIGS])
+    def test_shipped_config_loads(self, path):
+        # every key of a shipped config reaches the call that takes it; no
+        # algorithm runs
+        raw = json.loads(path.read_text())
+        config = RunConfig.load(path)
+        assert build_target(config).dimension >= 2
+        isa = build_isa_config(config)
+        assert isa.seed == raw["seed"]
+        for key, value in raw["isa"].items():
+            assert getattr(isa, "samples_per_iteration" if key == "samples" else key) == value
+        opt = OptSettings(**config.opt)
+        assert all(getattr(opt, key) == value for key, value in raw.get("opt", {}).items())
+        assert config.init == raw["init"]
 
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -122,10 +143,32 @@ class TestRunConfig:
             ("run", {"target": "gaussian",
                      "gaussian": {"mean": [0.0, 0.0], "covariance": [1.0, 0.0, 1.0]}},
              "gaussian"),
+            ("run", {"isa": {"max_iteration": 2, "samples": 50}},
+             "isa keys: ['max_iteration']"),
+            ("run", {"init": {"gmm": {"n_starts": 2}}, "opt": {"hessian_rel_step": 1e-3}},
+             "opt keys: ['hessian_rel_step']"),
+            ("run", {"init": {"file": "x.csv", "bogus": 1}}, "init keys: ['bogus']"),
+            ("run", {"init": {"mcmc": {"walkers": 4, "steps": 5, "keep": 20, "step": 5}}},
+             "init.mcmc keys: ['step']"),
+            ("run", {"init": {"gmm": {"n_starts": 2, "confidance": 0.9}}},
+             "init.gmm keys: ['confidance']"),
+            ("run", {"target": "gaussian", "gaussian": {"mean": [0.0], "cov": [1.0]}},
+             "gaussian keys: ['cov']"),
+            ("run", {"target": "regression", "regression": {**REGRESSION, "seed": 3}},
+             "regression keys: ['seed']"),
+            ("run", {"isa": [["samples", 50]]}, "isa must be a JSON object"),
+            ("run", {"init": {"mcmc": 5}}, "init.mcmc must be a JSON object"),
+            ("run", {"target": "regression"}, "regression section"),
+            ("run", {"init": {"mcmc": {"walkers": 4, "steps": 5}}}, "init.mcmc missing key"),
+            ("init-mcmc", {"init": {"mcmc": {"walkers": 4, "steps": 5}}},
+             "init.mcmc missing key"),
         ],
         ids=["mcmc-a", "baseline-a", "gmm-confidence", "init-gmm-confidence", "opt-rel-step",
              "isa-samples", "regression-n-theta", "regression-noise-sd",
-             "regression-data-seed", "gaussian-mean", "gaussian-covariance-size"],
+             "regression-data-seed", "gaussian-mean", "gaussian-covariance-size",
+             "isa-unknown", "opt-unknown", "init-unknown", "mcmc-unknown", "gmm-unknown",
+             "gaussian-unknown", "regression-unknown", "isa-not-object", "mcmc-not-object",
+             "regression-section-missing", "run-keep-missing", "init-mcmc-keep-missing"],
     )
     def test_malformed_value_clean_error(self, tmp_path, capsys, command, overrides, where):
         path = write_config(tmp_path, toy_run_config(tmp_path, **overrides))
@@ -507,3 +550,78 @@ class TestWorkersEnv:
         path = write_config(tmp_path, toy_run_config(tmp_path))
         assert main(["run", "--config", path, "--workers", "0"]) == EXIT_ERROR
         assert_one_line_error(capsys.readouterr().err, "workers must be >= 1")
+
+
+class FaultyGaussian(GaussianTarget):
+    """A standard 2-d Gaussian whose batch path spoils the rows `inject`
+    picks in each call: a failed row, or a NaN, +inf or -inf value."""
+
+    def __init__(self, inject):
+        super().__init__(np.zeros(2), np.eye(2))
+        self.inject = inject
+        self.injected = []  # rows spoiled per call
+
+    def log_density_batch(self, thetas):
+        values, failed = super().log_density_batch(thetas)
+        rows = self.inject(len(thetas))
+        for row, kind in rows.items():
+            if kind == "failed":
+                values[row], failed[row] = -np.inf, True
+            else:
+                values[row] = float(kind)
+        self.injected.append(len(rows))
+        return values, failed
+
+
+def gaussian_file_config(tmp_path, **isa):
+    """A run on the 2-d Gaussian target from an ensemble CSV, so that only
+    the ISA draws evaluate the target."""
+    init = tmp_path / "init.csv"
+    rng = np.random.Generator(np.random.Philox(4))
+    write_ensemble_csv(WeightedEnsemble.uniform(rng.standard_normal((40, 2))), init)
+    data = {"target": "gaussian", "init": {"file": str(init)}, "isa": isa,
+            "output_dir": str(tmp_path / "out")}
+    return write_config(tmp_path, data)
+
+
+class TestTargetFaults:
+    SAMPLES = 40
+    KINDS = ("failed", "nan", "inf", "-inf")
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_injected_failures_are_counted(self, data):
+        n = self.SAMPLES
+        every_row = st.just({row: "failed" for row in range(n)})
+        some_rows = st.dictionaries(st.integers(0, n - 1), st.sampled_from(self.KINDS))
+        target = FaultyGaussian(
+            lambda rows: data.draw(st.one_of(some_rows, some_rows, some_rows, every_row))
+        )
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            tmp_path = Path(tmp)
+            path = gaussian_file_config(tmp_path, samples=n, max_iterations=3)
+            patch.setattr(isalib.cli, "build_target", lambda config: target)
+            code = main(["run", "--config", path])
+            trace = json.loads((tmp_path / "out" / "trace.json").read_text())
+        failures = [record["failures"] for record in trace["records"]]
+        if target.injected[-1] == n:  # an all-failed draw ends the run unrecorded
+            assert trace["stopped_reason"] == "collapsed" and code == EXIT_COLLAPSED
+            assert failures == target.injected[:-1]
+        else:
+            assert failures == target.injected
+        assert n not in failures
+        exits = {"converged": EXIT_OK, "max_iterations": EXIT_MAX_ITERATIONS,
+                 "collapsed": EXIT_COLLAPSED}
+        assert code == exits[trace["stopped_reason"]]
+
+    def test_raising_target_aborts_run_without_trace(self, tmp_path, monkeypatch):
+        class Raising(GaussianTarget):
+            def log_density(self, theta):
+                raise RuntimeError("model crashed")
+
+        path = gaussian_file_config(tmp_path, samples=self.SAMPLES)
+        monkeypatch.setattr(isalib.cli, "build_target",
+                            lambda config: Raising(np.zeros(2), np.eye(2)))
+        with pytest.raises(RuntimeError, match="model crashed"):
+            main(["run", "--config", path])
+        assert not (tmp_path / "out" / "trace.json").exists()

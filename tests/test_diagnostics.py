@@ -272,7 +272,7 @@ class TestTriangleExport:
             ]
             for b in range(bins):
                 h = PANEL * float(hist.mass[b]) / peak
-                if h <= 0.0:
+                if f"{h:.2f}" == "0.00":
                     continue
                 rects.append(
                     f'<rect x="{x0 + b * width:.2f}" y="{y0 + PANEL - h:.2f}" '
@@ -291,9 +291,9 @@ class TestTriangleExport:
             for a in range(bins):
                 for b in range(bins):
                     value = float(hist.mass[a, b]) / peak
-                    if value <= 0.0:
-                        continue
                     shade = int(round(255 * (1.0 - value)))
+                    if shade == 255:
+                        continue
                     rects.append(
                         f'<rect x="{x0 + a * cell:.2f}" '
                         f'y="{y0 + PANEL - (b + 1) * cell:.2f}" '
@@ -314,6 +314,25 @@ class TestTriangleExport:
         assert (tmp_path / "fast" / "triangle.svg").read_bytes() == (
             tmp_path / "reference" / "triangle.svg"
         ).read_bytes()
+
+    def test_svg_skips_invisible_rects(self, tmp_path):
+        # samples with |theta_0| > 1.5 carry e^-20 of the others' weight, so
+        # their bins have a mass that is positive but too small to draw
+        rng = rng_for(16)
+        samples = rng.standard_normal((3000, 2))
+        ens = WeightedEnsemble.from_log_weights(
+            samples, np.where(np.abs(samples[:, 0]) > 1.5, -20.0, 0.0)
+        )
+        bars = weighted_histogram_1d(ens, 0).mass
+        bars = isalib.diagnostics.PANEL * bars / bars.max()
+        assert ((bars > 0) & (bars < 0.005)).any()
+        cells = weighted_histogram_2d(ens, 0, 1).mass
+        cells = cells / cells.max()
+        assert ((cells > 0) & (np.rint(255 * (1 - cells)) == 255)).any()
+        triangle_export(ens, out_dir=tmp_path)
+        svg = (tmp_path / "triangle.svg").read_text()
+        assert 'height="0.00"' not in svg and "rgb(255,255,255)" not in svg
+        assert 'fill="gray"' in svg and 'fill="rgb(' in svg
 
     def test_svg_is_well_formed(self, tmp_path):
         import xml.etree.ElementTree as ET
