@@ -87,7 +87,7 @@ _CONFIG = {
     "init": partial(_section, "init", {
         "mcmc": partial(_section, "init.mcmc",
                         {"walkers": int, "steps": int, "keep": int, "a": float},
-                        required=("steps", "keep")),
+                        required=("steps",)),
         "gmm": partial(_section, "init.gmm", {"n_starts": int, "confidence": float},
                        required=("n_starts",)),
         "file": str,
@@ -172,13 +172,18 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _chain(config: RunConfig, target, rng):
+def _chain(config: RunConfig, target, rng, keep=None):
     """The stretch-move chain of `init.mcmc`; without `walkers` it runs
-    default_walker_count(n_theta) walkers."""
+    default_walker_count(n_theta) walkers.  A `keep` outside [1, walkers *
+    steps] is a ConfigError before the chain runs."""
     spec = config.init["mcmc"]
+    walkers = spec.get("walkers", default_walker_count(target.dimension))
+    length = walkers * spec["steps"]
+    if keep is not None and not 1 <= keep <= length:
+        raise ConfigError(f"init.mcmc.keep {keep} is not in [1, walkers * steps = {length}]")
     return stretch_move_run(
         target,
-        n_walkers=spec.get("walkers", default_walker_count(target.dimension)),
+        n_walkers=walkers,
         n_steps=spec["steps"],
         rng=rng,
         **_without(spec, "walkers", "steps", "keep"),
@@ -195,8 +200,10 @@ def _modes(config: RunConfig, target, rng):
 def build_init(config: RunConfig, target, rng):
     """Return the ISA starting point: a WeightedEnsemble or a proposal."""
     if "mcmc" in config.init:
-        chain = _chain(config, target, rng)
-        return mcmc_init_ensemble(chain, config.init["mcmc"]["keep"])
+        keep = config.init["mcmc"].get("keep")
+        if keep is None:
+            raise ConfigError("init.mcmc missing key 'keep'")
+        return mcmc_init_ensemble(_chain(config, target, rng, keep), keep)
     if "gmm" in config.init:
         return build_gmm(_modes(config, target, rng)[1])
     return read_ensemble_csv(config.init["file"])

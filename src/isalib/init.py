@@ -3,7 +3,6 @@ Gaussian mixtures built from deduplicated multistart optimization modes."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +17,7 @@ from .targets import TargetDensity, is_failure
 STRETCH_A_DEFAULT = 2.0
 DEDUP_CONFIDENCE_DEFAULT = 0.95
 FEASIBLE_DRAW_BUDGET = 10_000  # prior draws allowed per walker
+STRETCH_BLOCK_STEPS = 1024  # steps whose uniforms are drawn at once
 
 
 def default_walker_count(n_theta: int) -> int:
@@ -63,6 +63,16 @@ def _draw_feasible_walkers(target, n_walkers, rng):
     return positions, logp
 
 
+def _stretch_draws(u, a, dim, half):
+    """z, (dim - 1) log z, the partner and log u of each (step, walker) from
+    u[step, walker, :3]; the partner is one of the k walkers of the other half."""
+    first = np.arange(u.shape[1]) < half
+    k = np.where(first, u.shape[1] - half, half)
+    z = ((a - 1.0) * u[..., 0] + 1.0) ** 2 / a
+    partners = np.where(first, half, 0) + np.minimum((u[..., 1] * k).astype(int), k - 1)
+    return z, (dim - 1) * np.log(z), partners, np.log(u[..., 2])
+
+
 def stretch_move_run(
     target: TargetDensity,
     n_walkers: int,
@@ -72,11 +82,18 @@ def stretch_move_run(
 ) -> McmcChain:
     """Affine-invariant stretch-move ensemble sampler.
 
-    Proposal Y = X_j + z (X_k - X_j) with z ~ g(z) propto 1/sqrt(z) on
-    [1/a, a], accepted with probability min(1, z^(n-1) p(Y)/p(X_j)).
-    Walkers update in two half-ensemble sweeps; proposals whose density is a
-    failure (`is_failure`: a Failure, NaN or +-inf) are rejected, so every
+    Walker k proposes Y = X_j + z (X_k - X_j), with X_j a walker of the
+    other half and z ~ g(z) propto 1/sqrt(z) on [1/a, a], and accepts it
+    with probability min(1, z^(n-1) p(Y)/p(X_k)).  Walkers move in index
+    order, so one half after the other; a proposal whose density is a
+    failure (`is_failure`: a Failure, NaN or +-inf) is rejected, so every
     stored log density is finite.
+
+    After the start walkers, the stream is u = rng.random((steps, walkers, 3)):
+    walker w at step s takes z, its partner and its acceptance uniform from
+    u[s, w, 0], u[s, w, 1] and u[s, w, 2].  It is drawn STRETCH_BLOCK_STEPS
+    steps at a time, in order, so neither the chain nor the generator state
+    after it depends on the block size.
     """
     if n_walkers < 4:
         raise DomainError("need at least 4 walkers for the stretch move")
@@ -85,36 +102,29 @@ def stretch_move_run(
     rng = rng or np.random.default_rng()
     dim = target.dimension
     positions, logp = _draw_feasible_walkers(target, n_walkers, rng)
-
-    half = n_walkers // 2
-    groups = (np.arange(half), np.arange(half, n_walkers))
-    samples = np.empty((n_steps * n_walkers, dim))
-    log_densities = np.empty(n_steps * n_walkers)
+    positions, logp = positions.tolist(), logp.tolist()
+    samples = np.empty((n_steps, n_walkers, dim))
+    log_densities = np.empty((n_steps, n_walkers))
     accepts = 0
-    for step in range(n_steps):
-        for active, other in (groups, groups[::-1]):
-            z = ((a - 1.0) * rng.random(active.size) + 1.0) ** 2 / a
-            partners = other[rng.integers(0, other.size, size=active.size)]
-            log_u = np.log(rng.random(active.size))
-            for i, w in enumerate(active):
-                proposal = positions[partners[i]] + z[i] * (
-                    positions[w] - positions[partners[i]]
-                )
-                value = target.log_density(proposal)
-                if is_failure(value):
-                    continue
-                log_accept = (dim - 1) * math.log(z[i]) + value - logp[w]
-                if log_u[i] <= log_accept:
+    for start in range(0, n_steps, STRETCH_BLOCK_STEPS):
+        u = rng.random((min(STRETCH_BLOCK_STEPS, n_steps - start), n_walkers, 3))
+        draws = (x.tolist() for x in _stretch_draws(u, a, dim, n_walkers // 2))
+        for step, (z, log_z, partners, log_u) in enumerate(zip(*draws), start):
+            for w in range(n_walkers):
+                zw, xj = z[w], positions[partners[w]]
+                proposal = [j + zw * (k - j) for j, k in zip(xj, positions[w])]
+                value = target.log_density(np.array(proposal))
+                if not is_failure(value) and log_u[w] <= log_z[w] + value - logp[w]:
                     positions[w] = proposal
                     logp[w] = value
                     accepts += 1
-        samples[step * n_walkers : (step + 1) * n_walkers] = positions
-        log_densities[step * n_walkers : (step + 1) * n_walkers] = logp
+            samples[step] = positions
+            log_densities[step] = logp
     return McmcChain(
         walkers=n_walkers,
         steps=n_steps,
-        samples=samples,
-        log_densities=log_densities,
+        samples=samples.reshape(n_steps * n_walkers, dim),
+        log_densities=log_densities.reshape(-1),
         acceptance_rate=accepts / (n_steps * n_walkers),
     )
 

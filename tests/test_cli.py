@@ -1,5 +1,6 @@
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -429,12 +430,15 @@ class TestGoldenRSequences:
         )
 
     def test_toy2d_mcmc_config(self, tmp_path):
+        """Re-recorded when the stretch move began to draw its uniforms in
+        blocks of steps: that changed its random stream, and so this run's
+        5-step MCMC init and every R after it."""
         code, stopped, r = self.run(
             tmp_path, CONFIGS / "toy2d_mcmc.json", "--seed", "2001"
         )
         assert (code, stopped) == (EXIT_OK, "converged")
         np.testing.assert_allclose(
-            r, [132.85359059570453, 1.1459872123662775, 1.106524697020259], rtol=1e-9
+            r, [2.444758262476842, 1.104679941893992, 1.1066924129071745], rtol=1e-9
         )
 
 
@@ -452,6 +456,18 @@ class TestRefitWidening:
 
 
 class TestInitCommands:
+    @pytest.mark.parametrize("command", ["run", "init-mcmc"])
+    @pytest.mark.parametrize("keep", [0, 4 * 10**7 + 1])
+    def test_keep_out_of_range_fails_before_the_chain(self, tmp_path, capsys, command, keep):
+        # a chain of 4 x 10^7 samples would take minutes; the check comes first
+        data = toy_run_config(tmp_path, init={"mcmc": {"walkers": 4, "steps": 10**7,
+                                                       "keep": keep}})
+        started = time.perf_counter()
+        assert main([command, "--config", write_config(tmp_path, data)]) == EXIT_ERROR
+        assert time.perf_counter() - started < 5.0
+        assert_one_line_error(capsys.readouterr().err, "init.mcmc.keep")
+        assert not (tmp_path / "out").exists()
+
     def test_init_mcmc_writes_ensemble(self, tmp_path):
         path = write_config(tmp_path, toy_run_config(tmp_path))
         assert main(["init-mcmc", "--config", path]) == EXIT_OK
@@ -475,6 +491,12 @@ class TestInitCommands:
 
 
 class TestBaselineCommand:
+    def test_runs_without_keep(self, tmp_path):
+        # mcmc-baseline writes the whole chain and never reads `keep`
+        data = toy_run_config(tmp_path, init={"mcmc": {"walkers": 4, "steps": 200}})
+        assert main(["mcmc-baseline", "--config", write_config(tmp_path, data)]) == EXIT_OK
+        assert json.loads((tmp_path / "out" / "iact.json").read_text())["steps"] == 200
+
     def test_chain_and_iact_written(self, tmp_path):
         data = toy_run_config(
             tmp_path, init={"mcmc": {"walkers": 4, "steps": 2000, "keep": 20}}

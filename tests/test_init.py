@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -17,7 +18,8 @@ from isalib import (
     multistart,
     stretch_move_run,
 )
-from isalib.init import default_walker_count
+import isalib.init
+from isalib.init import _stretch_draws, default_walker_count
 
 
 def rng_for(seed):
@@ -64,10 +66,39 @@ class TestStretchMove:
         assert 0.2 < chain.acceptance_rate < 0.95
 
     def test_log_densities_match_samples(self):
+        # every stored density is the target's value at the stored sample,
+        # with both equal and unequal halves
         target = GaussianTarget(np.zeros(2), np.eye(2))
-        chain = stretch_move_run(target, n_walkers=4, n_steps=20, rng=rng_for(3))
-        for theta, lp in zip(chain.samples[:40], chain.log_densities[:40]):
-            assert lp == pytest.approx(target.log_density(theta))
+        for walkers in (4, 5):
+            chain = stretch_move_run(target, n_walkers=walkers, n_steps=20, rng=rng_for(3))
+            for theta, lp in zip(chain.samples, chain.log_densities):
+                assert lp == target.log_density(theta)
+
+    @pytest.mark.parametrize("walkers", [4, 5, 7])
+    def test_stream_does_not_depend_on_block_size(self, monkeypatch, walkers):
+        # 1030 steps span two default blocks
+        runs = []
+        for block in (1, 7, isalib.init.STRETCH_BLOCK_STEPS):
+            monkeypatch.setattr(isalib.init, "STRETCH_BLOCK_STEPS", block)
+            rng = rng_for(9)
+            chain = stretch_move_run(Toy2DTarget(), n_walkers=walkers, n_steps=1030, rng=rng)
+            runs.append((chain.samples.tobytes(), chain.log_densities.tobytes(),
+                         chain.acceptance_rate,
+                         json.dumps(rng.bit_generator.state, default=np.ndarray.tolist)))
+        assert runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize(
+        "walkers, last, first",
+        [(4, [3, 3, 1, 1], [2, 2, 0, 0]),  # k = 2 in both halves
+         (5, [4, 4, 1, 1, 1], [2, 2, 0, 0, 0]),  # k = 3, then 2
+         (6, [5, 5, 5, 2, 2, 2], [3, 3, 3, 0, 0, 0])],  # k = 3 in both
+    )
+    def test_partner_in_other_half_at_uniform_edges(self, walkers, last, first):
+        # u just below 1 picks the last walker of the other half, u = 0 the first
+        for u, expected in ((np.nextafter(1.0, 0.0), last), (0.0, first)):
+            with np.errstate(divide="ignore"):  # log u at u = 0
+                draws = _stretch_draws(np.full((1, walkers, 3), u), 2.0, 2, walkers // 2)
+            np.testing.assert_array_equal(draws[2][0], expected)
 
     def test_gaussian_moments_long_run(self):
         target = GaussianTarget(np.array([1.0, -2.0]), np.diag([2.0, 0.5]))
