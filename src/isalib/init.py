@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincinv
 
 from .ensemble import WeightedEnsemble
 from .errors import DomainError, EmptyInput, InitializationFailed
@@ -173,6 +172,8 @@ def dedup_modes(
         raise DomainError("confidence must be in (0, 1)")
     # stable order: ascending f_min, ties by lexicographic minimizer
     converged.sort(key=lambda c: (c.f_min, tuple(c.minimizer)))
+    # imported here: scipy.special is slow to load, and only init.gmm runs need it
+    from scipy.special import gammaincinv
     dim = converged[0].minimizer.size
     # the chi-square quantile: the inverse regularized lower gamma at dim/2, doubled
     threshold = 2.0 * float(gammaincinv(dim / 2.0, confidence))

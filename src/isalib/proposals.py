@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import gammaln, logsumexp
 
 from .ensemble import WeightedEnsemble, weighted_covariance, weighted_mean, write_json
 from .errors import DomainError
@@ -25,6 +23,8 @@ def _validated_spd(matrix) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError("covariance must be a square matrix")
+    if not np.isfinite(a).all():
+        raise DomainError("covariance must be finite")
     scale = max(1.0, float(np.abs(a).max()))
     if np.abs(a - a.T).max() > SYMMETRY_TOL * scale:
         raise DomainError("covariance must be symmetric")
@@ -32,9 +32,31 @@ def _validated_spd(matrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _mahalanobis(chol: np.ndarray, dev: np.ndarray) -> np.ndarray:
-    """Squared length of each row of dev whitened by L (solve L y = dev^T)."""
-    y = solve_triangular(chol, dev.T, lower=True).T
-    return np.einsum("ij,ij->i", y, y)
+    """Squared length of each row of dev whitened by L: forward substitution
+    L y = dev^T over the columns in a fixed order, elementwise only, so that
+    a row's value does not depend on the other rows of the batch."""
+    if not np.isfinite(dev).all():
+        raise DomainError("points must be finite")
+    y = dev.T.copy()
+    for k, row in enumerate(y):
+        row /= chol[k, k]
+        y[k + 1:] -= chol[k + 1:, k, None] * row
+    return sum(row * row for row in y)
+
+
+def _logsumexp_columns(a: np.ndarray) -> np.ndarray:
+    """scipy.special.logsumexp(a, axis=0)'s algorithm: shift by the column max,
+    sum without the m tied maxima, log1p(s/m) + log(m) + max (Blanchard,
+    Higham & Higham 2021); a non-finite result is log(sum(exp(a)))."""
+    a_max = a.max(axis=0)
+    ties = a == a_max
+    m = ties.sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.exp(np.where(ties, -np.inf, a) - a_max).sum(axis=0)
+        out = np.log1p(s / m) + np.log(m) + a_max
+        odd = ~np.isfinite(out)
+        out[odd] = np.log(np.exp(a[:, odd]).sum(axis=0))
+    return out
 
 
 class _Proposal:
@@ -58,8 +80,8 @@ class GaussianProposal(_Proposal):
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
         cov, chol = _validated_spd(self.covariance)
-        if mean.ndim != 1 or mean.size != cov.shape[0]:
-            raise DomainError("mean and covariance dimensions disagree")
+        if mean.ndim != 1 or mean.size != cov.shape[0] or not np.isfinite(mean).all():
+            raise DomainError("mean must be finite and match the covariance")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
         object.__setattr__(self, "chol", chol)
@@ -105,8 +127,8 @@ class StudentTProposal(_Proposal):
             raise DomainError("nu must exceed 2 so the covariance exists")
         loc = np.asarray(self.location, dtype=float)
         scale, chol = _validated_spd(self.scale_matrix)
-        if loc.ndim != 1 or loc.size != scale.shape[0]:
-            raise DomainError("location and scale dimensions disagree")
+        if loc.ndim != 1 or loc.size != scale.shape[0] or not np.isfinite(loc).all():
+            raise DomainError("location must be finite and match the scale")
         object.__setattr__(self, "location", loc)
         object.__setattr__(self, "scale_matrix", scale)
         object.__setattr__(self, "chol", chol)
@@ -134,8 +156,8 @@ class StudentTProposal(_Proposal):
         d = self.dimension
         nu = self.nu
         const = (
-            gammaln(0.5 * (nu + d))
-            - gammaln(0.5 * nu)
+            math.lgamma(0.5 * (nu + d))
+            - math.lgamma(0.5 * nu)
             - 0.5 * d * math.log(nu * math.pi)
             - 0.5 * chol_logdet(self.chol)
         )
@@ -201,7 +223,7 @@ class GaussianMixtureProposal(_Proposal):
         )
         with np.errstate(divide="ignore"):
             log_psi = np.log(self.psi)
-        return logsumexp(parts + log_psi[:, None], axis=0)
+        return _logsumexp_columns(parts + log_psi[:, None])
 
     def to_dict(self) -> dict:
         return {

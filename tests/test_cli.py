@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -488,6 +491,70 @@ class TestInitCommands:
     def test_init_gmm_requires_gmm_section(self, tmp_path):
         path = write_config(tmp_path, toy_run_config(tmp_path))
         assert main(["init-gmm", "--config", path]) == EXIT_ERROR
+
+
+# Runs CLI commands in a fresh interpreter and reports, after each one, which
+# of scipy's slow-to-import subpackages it has loaded; dedup_modes is wrapped
+# to report them also as the first dedup begins.
+SCIPY_PROBE = """
+import json, sys
+import isalib.cli
+
+def heavy():
+    return [m for m in ("scipy.special", "scipy.linalg") if m in sys.modules]
+
+at_dedup = []
+dedup = isalib.cli.dedup_modes
+def watched(*args, **kwargs):
+    at_dedup.append(heavy())
+    return dedup(*args, **kwargs)
+isalib.cli.dedup_modes = watched
+
+report = {"import": heavy()}
+for name, argv in json.loads(sys.argv[1]):
+    report[name] = [isalib.cli.main(argv), heavy()]
+report["at_dedup"] = at_dedup
+print(json.dumps(report))
+"""
+
+
+class TestImportGraph:
+    def shipped(self, tmp_path, name):
+        data = json.loads((CONFIGS / f"{name}.json").read_text())
+        data["output_dir"] = str(tmp_path / name)
+        return data
+
+    def test_only_init_gmm_loads_scipy_special(self, tmp_path):
+        run = self.shipped(tmp_path, "toy2d_mcmc")
+        run["isa"]["samples"] = 2000
+        baseline = self.shipped(tmp_path, "toy2d_baseline")
+        baseline["init"]["mcmc"]["steps"] = 500
+        ensemble = tmp_path / "toy2d_mcmc" / "ensemble.csv"
+        triangle = toy_run_config(tmp_path, init={"file": str(ensemble)},
+                                  output_dir=str(tmp_path / "triangle"))
+        gmm = self.shipped(tmp_path, "toy2d_gmm")
+        gmm["init"]["gmm"]["n_starts"] = 10
+        commands = [
+            (command, [command, "--config", write_config(tmp_path, data, f"{command}.json")])
+            for command, data in [("run", run), ("mcmc-baseline", baseline),
+                                  ("init-mcmc", toy_run_config(tmp_path)),
+                                  ("export-triangle", triangle), ("init-gmm", gmm)]
+        ]
+        src = str(Path(isalib.cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", SCIPY_PROBE, json.dumps(commands)],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+            check=True,
+        )
+        report = json.loads(proc.stdout.splitlines()[-1])
+        assert report["import"] == []
+        for command in ("run", "mcmc-baseline", "init-mcmc", "export-triangle"):
+            assert report[command] == [EXIT_OK, []], command
+        # init.gmm loads scipy.special, and only once its dedup has begun
+        assert report["at_dedup"] == [[]]
+        code, loaded = report["init-gmm"]
+        assert code == EXIT_OK and "scipy.special" in loaded
 
 
 class TestBaselineCommand:

@@ -25,6 +25,28 @@ def rng_for(seed):
     return np.random.Generator(np.random.Philox(seed))
 
 
+THREE_FAMILIES = pytest.mark.parametrize(
+    "proposal",
+    [
+        GaussianProposal(np.array([1.0, 2.0]), np.array([[2.0, 0.3], [0.3, 1.0]])),
+        StudentTProposal(np.array([0.0, 1.0]), np.eye(2), nu=3.0),
+        GaussianMixtureProposal(
+            (
+                GaussianProposal(np.zeros(2), np.eye(2)),
+                GaussianProposal(np.ones(2), 2.0 * np.eye(2)),
+            ),
+            np.array([0.25, 0.75]),
+        ),
+    ],
+    ids=["gaussian", "student_t", "mixture"],
+)
+
+
+def random_spd(rng, d):
+    a = rng.standard_normal((d, d))
+    return a @ a.T + d * np.eye(d)
+
+
 class TestGaussianProposal:
     def test_log_density_at_mean(self):
         prop = GaussianProposal(np.zeros(2), np.eye(2))
@@ -131,21 +153,7 @@ class TestMixture:
 
 
 class TestWidened:
-    @pytest.mark.parametrize(
-        "proposal",
-        [
-            GaussianProposal(np.array([1.0, 2.0]), np.array([[2.0, 0.3], [0.3, 1.0]])),
-            StudentTProposal(np.array([0.0, 1.0]), np.eye(2), nu=3.0),
-            GaussianMixtureProposal(
-                (
-                    GaussianProposal(np.zeros(2), np.eye(2)),
-                    GaussianProposal(np.ones(2), 2.0 * np.eye(2)),
-                ),
-                np.array([0.25, 0.75]),
-            ),
-        ],
-        ids=["gaussian", "student_t", "mixture"],
-    )
+    @THREE_FAMILIES
     def test_spread_scaled_center_kept(self, proposal):
         wide = proposal.widened(4.0)
         assert type(wide) is type(proposal)
@@ -231,21 +239,7 @@ class TestGmmWeights:
 
 
 class TestSerialization:
-    @pytest.mark.parametrize(
-        "proposal",
-        [
-            GaussianProposal(np.array([1.0, 2.0]), np.array([[2.0, 0.3], [0.3, 1.0]])),
-            StudentTProposal(np.array([0.0, 1.0]), np.eye(2), nu=3.0),
-            GaussianMixtureProposal(
-                (
-                    GaussianProposal(np.zeros(2), np.eye(2)),
-                    GaussianProposal(np.ones(2), 2.0 * np.eye(2)),
-                ),
-                np.array([0.25, 0.75]),
-            ),
-        ],
-        ids=["gaussian", "student_t", "mixture"],
-    )
+    @THREE_FAMILIES
     def test_json_round_trip(self, proposal, tmp_path):
         path = tmp_path / "prop.json"
         save_proposal(proposal, path)
@@ -258,3 +252,93 @@ class TestSerialization:
     def test_unknown_family(self):
         with pytest.raises(DomainError):
             proposal_from_dict({"family": "cauchy", "mean": [0.0]})
+
+
+class TestFiniteness:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: GaussianProposal(np.zeros(2), np.full((2, 2), np.nan)),
+            lambda: GaussianProposal(np.zeros(2), np.array([[np.inf, 0.0], [0.0, 1.0]])),
+            lambda: GaussianProposal(np.array([np.nan, 0.0]), np.eye(2)),
+            lambda: StudentTProposal(np.zeros(2), np.full((2, 2), np.nan), nu=3.0),
+            lambda: StudentTProposal(np.array([0.0, -np.inf]), np.eye(2), nu=3.0),
+        ],
+        ids=["nan-covariance", "inf-covariance", "nan-mean", "nan-scale", "inf-location"],
+    )
+    def test_non_finite_parameters_rejected(self, build):
+        with pytest.raises(DomainError):
+            build()
+
+    @THREE_FAMILIES
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_rejected(self, proposal, bad):
+        thetas = np.zeros((3, 2))
+        thetas[1, 0] = bad
+        with pytest.raises(DomainError):
+            proposal.log_density_batch(thetas)
+
+    def test_domain_error_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            GaussianProposal(np.zeros(2), np.eye(2)).log_density(np.array([np.nan, 0.0]))
+
+
+class TestScipyReference:
+    """The numpy kernels against the scipy functions they stand in for."""
+
+    def test_logsumexp_bitwise(self):
+        from scipy.special import logsumexp
+
+        from isalib.proposals import _logsumexp_columns
+
+        rng = rng_for(10)
+        for _ in range(200):
+            a = rng.normal(scale=30.0, size=(int(rng.integers(1, 7)), 400))
+            a[:, :100] = rng.integers(-2, 2, size=(a.shape[0], 100))  # ties
+            a[rng.random(a.shape) < 0.2] = -np.inf
+            a[:, 100:110] = -np.inf
+            a[0, 110], a[-1, 111] = np.inf, np.nan
+            ours, ref = _logsumexp_columns(a), logsumexp(a, axis=0)
+            assert np.array_equal(np.isnan(ours), np.isnan(ref))
+            assert np.nan_to_num(ours).tobytes() == np.nan_to_num(ref).tobytes()
+
+    def test_mahalanobis_matches_solve_triangular(self):
+        from scipy.linalg import solve_triangular
+
+        from isalib.proposals import _mahalanobis
+
+        rng = rng_for(11)
+        for d in range(1, 9):
+            chol = np.linalg.cholesky(random_spd(rng, d))
+            dev = 3.0 * rng.standard_normal((500, d))
+            y = solve_triangular(chol, dev.T, lower=True)
+            np.testing.assert_allclose(
+                _mahalanobis(chol, dev), np.einsum("ij,ij->j", y, y), rtol=1e-12
+            )
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 8])
+    @pytest.mark.parametrize("nu", [2.5, 3.0, 5.0, 30.0, 1e3, 1e6])
+    def test_student_t_constant_matches_gammaln(self, d, nu):
+        # at the location the density is its normalizing constant; the two
+        # log-gamma terms cancel as nu grows, so their size sets the scale
+        from scipy.special import gammaln
+
+        scale = random_spd(rng_for(12), d)
+        prop = StudentTProposal(np.zeros(d), scale, nu)
+        big, small = gammaln(0.5 * (nu + d)), gammaln(0.5 * nu)
+        ref = (big - small - 0.5 * d * math.log(nu * math.pi)
+               - 0.5 * np.linalg.slogdet(scale)[1])
+        terms = abs(big) + abs(small) + abs(ref)
+        assert abs(prop.log_density(np.zeros(d)) - ref) <= 1e-15 * terms
+
+    @THREE_FAMILIES
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        cuts=st.lists(st.integers(1, 199), max_size=4, unique=True),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_batch_equals_its_chunks(self, proposal, seed, cuts):
+        thetas = proposal.sample(rng_for(seed), 200)
+        whole = proposal.log_density_batch(thetas)
+        parts = [proposal.log_density_batch(c) for c in np.split(thetas, sorted(cuts))]
+        assert whole.tobytes() == np.concatenate(parts).tobytes()
