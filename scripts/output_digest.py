@@ -36,6 +36,8 @@ def corpus():
     for seed in range(7, 10):
         runs += [("run", "toy2d_gmm", seed), ("init-gmm", "toy2d_gmm", seed)]
     runs += [("init-mcmc", "toy2d_mcmc", 3), ("mcmc-baseline", "toy2d_baseline", 9)]
+    runs += [("run", "gaussian_mcmc", seed) for seed in range(11, 15)]
+    runs += [("init-mcmc", "gaussian_mcmc", 11)]
     return runs
 
 

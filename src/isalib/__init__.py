@@ -59,7 +59,6 @@ from .targets import (
     GaussianTarget,
     RegressionTarget,
     Toy2DTarget,
-    gaussian_target,
     is_failure,
     make_synthetic_regression,
     toy2d_log_density,

@@ -32,11 +32,7 @@ from .init import (
 from .isa import IsaConfig, isa_run
 from .optimize import OptSettings, OptStatus
 from .proposals import save_proposal
-from .targets import (
-    Toy2DTarget,
-    gaussian_target,
-    make_synthetic_regression,
-)
+from .targets import GaussianTarget, Toy2DTarget, make_synthetic_regression
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -157,7 +153,7 @@ def build_target(config: RunConfig):
         cov = spec.get("covariance", np.eye(mean.size))
         if cov.size != mean.size**2:
             raise ConfigError(f"gaussian covariance needs {mean.size**2} entries")
-        return gaussian_target(mean, cov.reshape(mean.size, mean.size))
+        return GaussianTarget(mean, cov.reshape(mean.size, mean.size))
     if config.regression is None:
         raise ConfigError("target 'regression' needs a regression section")
     return make_synthetic_regression(**{"data_seed": 0, **config.regression})

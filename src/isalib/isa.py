@@ -84,14 +84,17 @@ class IterationTrace:
     stopped_reason: str  # "converged" | "max_iterations" | "collapsed"
     final_proposal: object
     final_ensemble: WeightedEnsemble | None
-    config: IsaConfig | None = None
+    config: IsaConfig
+    # the draw that ended the run with every log-weight -inf (so all N_e
+    # samples count as failures); it has no R, so it is not a record
+    all_failed_draw: dict | None = None
 
     def r_values(self) -> list[float]:
         return [rec.r for rec in self.records]
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config.to_dict() if self.config else None,
+        data = {
+            "config": self.config.to_dict(),
             "records": [
                 {
                     "k": rec.k,
@@ -109,6 +112,9 @@ class IterationTrace:
             ],
             "stopped_reason": self.stopped_reason,
         }
+        if self.all_failed_draw is not None:
+            data["all_failed_draw"] = self.all_failed_draw
+        return data
 
     def save_json(self, path) -> None:
         write_json(path, self.to_dict())
@@ -168,7 +174,8 @@ def isa_run(
     estimate is not saturated), at max_iterations, or on collapse; collapse
     is recorded in stopped_reason, not raised.  Collapse is a degenerate
     initial ensemble, a draw whose weights are all zero, or a failed refit
-    once MAX_WIDENINGS are used.  `workers` is accepted for compatibility
+    once MAX_WIDENINGS are used; a draw whose weights are all zero is kept
+    as `all_failed_draw`.  `workers` is accepted for compatibility
     and ignored: each draw is evaluated as one batch.
     """
     rng = rng or np.random.Generator(np.random.Philox(config.seed))
@@ -183,6 +190,7 @@ def isa_run(
         return IterationTrace((), "collapsed", None, None, config)
 
     stopped = "max_iterations"
+    all_failed_draw = None
     prev_r = None
     widenings = 0
     widened = False
@@ -193,6 +201,9 @@ def isa_run(
                 target, proposal, config.samples_per_iteration, rng
             )
         except AllWeightsZero:
+            n_e = config.samples_per_iteration
+            all_failed_draw = {"k": k, "N_e": n_e, "failures": n_e,
+                               "proposal": proposal.to_dict()}
             stopped = "collapsed"
             break
         saturated = report.r >= SATURATION_FRACTION * config.samples_per_iteration
@@ -230,4 +241,6 @@ def isa_run(
                 widenings += 1
                 proposal = proposal.widened(WIDEN_FACTOR)
                 widened = True
-    return IterationTrace(tuple(records), stopped, proposal, ensemble, config)
+    return IterationTrace(
+        tuple(records), stopped, proposal, ensemble, config, all_failed_draw
+    )

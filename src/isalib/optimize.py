@@ -18,6 +18,11 @@ import numpy as np
 from .errors import DomainError, EvaluationFailed
 from .targets import TargetDensity, is_failure
 
+# step for the mode-curvature Hessian that becomes a Laplace covariance:
+# probed at ~0.5% of the parameter scale, not at gradient resolution,
+# so exactly-flat (quartic) ridge directions get a finite width
+HESSIAN_REL_STEP = 5e-3
+
 
 class OptStatus(enum.Enum):
     CONVERGED = "converged"
@@ -31,10 +36,6 @@ class OptSettings:
     f_tol: float = 1e-10
     grad_tol: float = 1e-6
     max_iter: int = 200
-    # step for the mode-curvature Hessian that becomes a Laplace covariance:
-    # probed at ~0.5% of the parameter scale, not at gradient resolution,
-    # so exactly-flat (quartic) ridge directions get a finite width
-    hessian_rel_step: float = 5e-3
 
 
 @dataclass(frozen=True)
@@ -193,7 +194,7 @@ def _minimize_lm(target, start, settings):
         # the prior rows are part of the whitened residuals, so J holds them
         hessian = gauss_newton_hessian(jac, np.zeros((theta.size, theta.size)))
     except EvaluationFailed:
-        hessian = repair_spd_eig(np.eye(theta.size))
+        hessian = np.eye(theta.size)
     return OptimizationResult(theta, fval, hessian, status, it, tuple(history))
 
 
@@ -259,7 +260,7 @@ def _minimize_bfgs(target, start, settings):
             status = OptStatus.CONVERGED
             break
     try:
-        hessian = fd_hessian(func, theta, settings.hessian_rel_step)
+        hessian = fd_hessian(func, theta, HESSIAN_REL_STEP)
     except EvaluationFailed:
         hessian = repair_spd_eig(np.linalg.pinv(hinv))
     return OptimizationResult(theta, fval, hessian, status, it, tuple(history))

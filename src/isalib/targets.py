@@ -50,14 +50,21 @@ class TargetDensity:
     boolean mask, with `-inf` in every failed row.  The default loops over
     `log_density`; a target may override it with a vectorized version that
     agrees with the per-point path up to rounding and gives each row the
-    same result however the batch is split.  The built-in targets do; a
-    subclass of one that overrides its per-point methods gets the default
-    loop, which marks every value `is_failure` rejects.  Non-finite values
-    that a vectorized override returns are counted as failures where the
-    batch is evaluated (`isa.parallel_map_density`).
+    same result however the batch is split.  The built-in targets do.  One
+    rule keeps the two paths together: a class that defines `log_density`
+    or `residuals` but not `log_density_batch` gets the default loop, which
+    marks every value `is_failure` rejects.  Non-finite values that a
+    vectorized override returns are counted as failures where the batch is
+    evaluated (`isa.parallel_map_density`).
     """
 
     dimension: int
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = vars(cls)
+        if ("log_density" in own or "residuals" in own) and "log_density_batch" not in own:
+            cls.log_density_batch = TargetDensity.log_density_batch
 
     def log_density(self, theta):
         raise NotImplementedError
@@ -78,12 +85,6 @@ class TargetDensity:
         return math.inf if is_failure(value) else -value
 
 
-def _point_path_replaced(target, cls, names) -> bool:
-    """True when `target`'s class overrides one of the methods `cls`'s
-    per-point path uses; its vectorized batch would then disagree with it."""
-    return any(getattr(type(target), name) is not getattr(cls, name) for name in names)
-
-
 class Toy2DTarget(TargetDensity):
     """2-d toy posterior: uniform prior on [0, 11]^2 and
     F(theta) = 1e-2 * ||theta - (5,5)||^4 + 0.2 * sin(5 ||theta||)."""
@@ -93,28 +94,16 @@ class Toy2DTarget(TargetDensity):
     upper = 11.0
     center = (5.0, 5.0)
 
-    def in_support(self, theta) -> bool:
-        x, y = float(theta[0]), float(theta[1])
-        return (
-            self.lower <= x <= self.upper and self.lower <= y <= self.upper
-        )
-
-    def f_value(self, theta) -> float:
-        dx = float(theta[0]) - self.center[0]
-        dy = float(theta[1]) - self.center[1]
-        return 1e-2 * (dx * dx + dy * dy) ** 2 + 0.2 * math.sin(
-            5.0 * math.hypot(float(theta[0]), float(theta[1]))
-        )
-
     def log_density(self, theta):
+        x, y = float(theta[0]), float(theta[1])
         # support check first: cheaper and equivalent to checking afterwards
-        if not self.in_support(theta):
+        if not (self.lower <= x <= self.upper and self.lower <= y <= self.upper):
             return Failure("outside prior cube")
-        return -self.f_value(theta)
+        dx = x - self.center[0]
+        dy = y - self.center[1]
+        return -(1e-2 * (dx * dx + dy * dy) ** 2 + 0.2 * math.sin(5.0 * math.hypot(x, y)))
 
     def log_density_batch(self, thetas):
-        if _point_path_replaced(self, Toy2DTarget, ("log_density", "in_support", "f_value")):
-            return super().log_density_batch(thetas)
         t = np.asarray(thetas, dtype=float)
         x, y = t[:, 0], t[:, 1]
         inside = (
@@ -168,8 +157,6 @@ class GaussianTarget(TargetDensity):
         return self._log_norm - 0.5 * float(dev @ self._precision @ dev)
 
     def log_density_batch(self, thetas):
-        if _point_path_replaced(self, GaussianTarget, ("log_density",)):
-            return super().log_density_batch(thetas)
         dev = np.asarray(thetas, dtype=float) - self.mean
         quad = np.einsum("ij,ij->i", np.einsum("ij,jk->ik", dev, self._precision), dev)
         return self._log_norm - 0.5 * quad, np.zeros(len(dev), dtype=bool)
@@ -231,9 +218,7 @@ class RegressionTarget(TargetDensity):
 
     def log_density_batch(self, thetas):
         batch = getattr(self.model, "batch", None)
-        if batch is None or _point_path_replaced(
-            self, RegressionTarget, ("log_density", "residuals")
-        ):
+        if batch is None:
             return super().log_density_batch(thetas)
         thetas = np.asarray(thetas, dtype=float)
         pred = np.asarray(batch(thetas), dtype=float)
@@ -317,7 +302,3 @@ def toy2d_log_density(theta):
     if theta.shape != (2,):
         raise DomainError("toy2d expects a length-2 parameter vector")
     return Toy2DTarget().log_density(theta)
-
-
-def gaussian_target(mean, covariance) -> GaussianTarget:
-    return GaussianTarget(mean, covariance)

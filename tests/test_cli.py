@@ -394,7 +394,7 @@ class TestRunCommand:
         assert runs["1"] == runs["2"]
 
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestGoldenRSequences:
@@ -437,7 +437,7 @@ class TestGoldenRSequences:
         blocks of steps: that changed its random stream, and so this run's
         5-step MCMC init and every R after it."""
         code, stopped, r = self.run(
-            tmp_path, CONFIGS / "toy2d_mcmc.json", "--seed", "2001"
+            tmp_path, CONFIG_DIR / "toy2d_mcmc.json", "--seed", "2001"
         )
         assert (code, stopped) == (EXIT_OK, "converged")
         np.testing.assert_allclose(
@@ -450,7 +450,7 @@ class TestRefitWidening:
         # this seed's first draw has 2.8 effective samples, too few to
         # refit; the widened proposal's draw can be refit and the run converges
         out = tmp_path / "out"
-        code = main(["run", "--config", str(CONFIGS / "toy2d_mcmc.json"),
+        code = main(["run", "--config", str(CONFIG_DIR / "toy2d_mcmc.json"),
                      "--seed", "138", "--output", str(out)])
         trace = json.loads((out / "trace.json").read_text())
         assert (code, trace["stopped_reason"]) == (EXIT_OK, "converged")
@@ -520,7 +520,7 @@ print(json.dumps(report))
 
 class TestImportGraph:
     def shipped(self, tmp_path, name):
-        data = json.loads((CONFIGS / f"{name}.json").read_text())
+        data = json.loads((CONFIG_DIR / f"{name}.json").read_text())
         data["output_dir"] = str(tmp_path / name)
         return data
 
@@ -693,11 +693,15 @@ class TestTargetFaults:
             code = main(["run", "--config", path])
             trace = json.loads((tmp_path / "out" / "trace.json").read_text())
         failures = [record["failures"] for record in trace["records"]]
-        if target.injected[-1] == n:  # an all-failed draw ends the run unrecorded
+        if target.injected[-1] == n:  # an all-failed draw ends the run
             assert trace["stopped_reason"] == "collapsed" and code == EXIT_COLLAPSED
             assert failures == target.injected[:-1]
+            draw = trace["all_failed_draw"]
+            assert sorted(draw) == ["N_e", "failures", "k", "proposal"]
+            assert (draw["k"], draw["N_e"], draw["failures"]) == (len(failures) + 1, n, n)
         else:
             assert failures == target.injected
+            assert "all_failed_draw" not in trace
         assert n not in failures
         exits = {"converged": EXIT_OK, "max_iterations": EXIT_MAX_ITERATIONS,
                  "collapsed": EXIT_COLLAPSED}

@@ -245,6 +245,23 @@ class TestCollapse:
         assert trace.stopped_reason == "collapsed"
         assert trace.records == ()
 
+    def test_all_failed_first_draw_is_kept_outside_the_records(self):
+        class NanEverywhere(GaussianTarget):
+            def log_density(self, theta):
+                return np.nan
+
+        prop = GaussianProposal(np.ones(2), 2.0 * np.eye(2))
+        trace = isa_run(
+            NanEverywhere(np.zeros(2), np.eye(2)), prop,
+            IsaConfig(samples_per_iteration=200, seed=11),
+        )
+        assert trace.all_failed_draw == {
+            "k": 1, "N_e": 200, "failures": 200, "proposal": prop.to_dict()
+        }
+        data = trace.to_dict()
+        assert data["records"] == [] and data["stopped_reason"] == "collapsed"
+        assert data["all_failed_draw"] == trace.all_failed_draw
+
     def test_degenerate_init_ensemble_collapse(self):
         init = WeightedEnsemble.from_log_weights(
             [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], [0.0, -np.inf, -np.inf]
@@ -275,6 +292,7 @@ class TestTraceSerialization:
         trace.save_json(path)
         data = json.loads(path.read_text())
         assert data["stopped_reason"] == "max_iterations"
+        assert "all_failed_draw" not in data
         assert len(data["records"]) == 2
         rec = data["records"][0]
         assert rec["k"] == 1

@@ -9,7 +9,6 @@ from isalib import (
     GaussianTarget,
     RegressionTarget,
     Toy2DTarget,
-    gaussian_target,
     is_failure,
     make_synthetic_regression,
     toy2d_log_density,
@@ -25,6 +24,26 @@ def toy_f(theta):
     return 1e-2 * np.linalg.norm(theta - center) ** 4 + 0.2 * math.sin(
         5.0 * np.linalg.norm(theta)
     )
+
+
+def composed_toy_log_density(theta):
+    """Toy2DTarget.log_density as it was composed from two methods, a support
+    check and F, each converting theta to floats itself."""
+
+    def in_support(theta):
+        x, y = float(theta[0]), float(theta[1])
+        return 0.0 <= x <= 11.0 and 0.0 <= y <= 11.0
+
+    def f_value(theta):
+        dx = float(theta[0]) - 5.0
+        dy = float(theta[1]) - 5.0
+        return 1e-2 * (dx * dx + dy * dy) ** 2 + 0.2 * math.sin(
+            5.0 * math.hypot(float(theta[0]), float(theta[1]))
+        )
+
+    if not in_support(theta):
+        return Failure("outside prior cube")
+    return -f_value(theta)
 
 
 class TestIsFailure:
@@ -71,6 +90,24 @@ class TestToy2D:
         for theta in rng.uniform(0.0, 11.0, size=(50, 2)):
             assert toy2d_log_density(theta) == pytest.approx(-toy_f(theta), rel=1e-12)
 
+    def test_equals_the_composed_form_bitwise(self):
+        rng = np.random.default_rng(7)
+        faces = rng.uniform(0.0, 11.0, size=(200, 2))
+        faces[:100, 0] = rng.choice([0.0, 11.0], size=100)
+        faces[100:, 1] = rng.choice([0.0, 11.0], size=100)
+        nudged = np.nextafter(faces, np.where(faces == 0.0, -1.0, 12.0))
+        inside = rng.uniform(0.0, 11.0, size=(2000, 2))
+        outside = rng.uniform(-1.0, 12.0, size=(2000, 2))
+        thetas = np.vstack([faces, nudged, inside, outside])
+        target = Toy2DTarget()
+        outcomes = set()
+        for theta in thetas:
+            value, reference = target.log_density(theta), composed_toy_log_density(theta)
+            # repr tells every float bit pattern apart, and a Failure by its reason
+            assert repr(value) == repr(reference)
+            outcomes.add(is_failure(value))
+        assert outcomes == {True, False}
+
     def test_wrong_dimension(self):
         with pytest.raises(DomainError):
             toy2d_log_density(np.zeros(3))
@@ -96,29 +133,29 @@ class TestToy2D:
 
 class TestGaussianTarget:
     def test_normalized_density_at_mean(self):
-        target = gaussian_target(np.zeros(2), np.eye(2))
+        target = GaussianTarget(np.zeros(2), np.eye(2))
         assert target.log_density(np.zeros(2)) == pytest.approx(-math.log(2 * math.pi))
 
     def test_gradient_zero_at_mean(self):
-        target = gaussian_target(np.array([1.0, 2.0]), np.array([[2.0, 0.3], [0.3, 1.0]]))
+        target = GaussianTarget(np.array([1.0, 2.0]), np.array([[2.0, 0.3], [0.3, 1.0]]))
         np.testing.assert_allclose(target.gradient(np.array([1.0, 2.0])), 0.0, atol=1e-14)
 
     def test_symmetry(self):
-        target = gaussian_target(np.array([1.0, -1.0]), np.eye(2))
+        target = GaussianTarget(np.array([1.0, -1.0]), np.eye(2))
         d = np.array([0.7, 0.2])
         assert target.log_density(target.mean + d) == pytest.approx(
             target.log_density(target.mean - d)
         )
 
     def test_gradient_matches_finite_differences(self):
-        target = gaussian_target(np.array([0.5, -0.5]), np.array([[1.5, 0.4], [0.4, 0.9]]))
+        target = GaussianTarget(np.array([0.5, -0.5]), np.array([[1.5, 0.4], [0.4, 0.9]]))
         theta = np.array([1.2, 0.3])
         fd = finite_diff_gradient(target.neg_log_posterior, theta, 1e-6)
         np.testing.assert_allclose(-target.gradient(theta), fd, rtol=1e-4)
 
     def test_non_spd_rejected(self):
         with pytest.raises(DomainError):
-            gaussian_target(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+            GaussianTarget(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 class TestRegressionTarget:
@@ -210,6 +247,19 @@ class TestRegressionTarget:
         np.testing.assert_array_equal(a.data_z, b.data_z)
 
 
+REGRESSION = make_synthetic_regression(
+    n_theta=2, n_z=6, noise_sd=0.1, prior_mean=np.full(2, 5.0), prior_sd=np.full(2, 3.0),
+    theta_ref=[6.0, 4.0], data_seed=11,
+)
+# each built-in target class with the arguments that build one on [-1, 12]^2
+BUILTIN = {
+    "toy2d": (Toy2DTarget, ()),
+    "gaussian": (GaussianTarget, (np.array([5.0, 5.0]), np.array([[4.0, 1.2], [1.2, 2.0]]))),
+    "regression": (RegressionTarget, (REGRESSION.model, REGRESSION.data_z, REGRESSION.noise_sd,
+                                      REGRESSION.prior_mean, REGRESSION.prior_sd)),
+}
+
+
 def per_point(target, thetas):
     """Values and failed mask from one log_density call per row."""
     raw = [target.log_density(theta) for theta in thetas]
@@ -247,7 +297,7 @@ class TestLogDensityBatch:
     def test_gaussian_matches_per_point(self, dim):
         rng = np.random.default_rng(dim)
         a = rng.standard_normal((dim, dim))
-        target = gaussian_target(rng.standard_normal(dim), a @ a.T + np.eye(dim))
+        target = GaussianTarget(rng.standard_normal(dim), a @ a.T + np.eye(dim))
         assert_batch_matches_per_point(target, 3.0 * rng.standard_normal((400, dim)))
 
     def test_builtin_regression_matches_per_point(self):
@@ -299,12 +349,32 @@ class TestLogDensityBatch:
         with pytest.raises(DomainError):
             target.log_density_batch(np.zeros((3, 2)))
 
-    def test_subclass_overriding_log_density_keeps_its_values(self):
-        class Clipped(GaussianTarget):
-            def log_density(self, theta):
-                return Failure("clipped") if theta[0] > 0.0 else super().log_density(theta)
+    @pytest.mark.parametrize("name", sorted(BUILTIN))
+    def test_subclass_overriding_log_density_keeps_its_values(self, name):
+        base, args = BUILTIN[name]
+        # the per-point method the built-in batch stands in for
+        point = "residuals" if base is RegressionTarget else "log_density"
 
-        target = Clipped(np.zeros(2), np.eye(2))
-        thetas = np.random.default_rng(6).standard_normal((40, 2))
-        assert_batch_matches_per_point(target, thetas)
-        np.testing.assert_array_equal(target.log_density_batch(thetas)[1], thetas[:, 0] > 0.0)
+        def clipped(self, theta):
+            return Failure("clipped") if theta[0] > 5.5 else getattr(base, point)(self, theta)
+
+        def doubled(self, thetas):
+            values, failed = base.log_density_batch(self, thetas)
+            return 2.0 * values, failed
+
+        thetas = np.random.default_rng(6).uniform(-1.0, 12.0, size=(400, 2))
+        target = type("Clipped", (base,), {point: clipped})(*args)
+        values, failed = target.log_density_batch(thetas)
+        ref_values, ref_failed = per_point(target, thetas)
+        np.testing.assert_array_equal(values, ref_values)
+        np.testing.assert_array_equal(failed, ref_failed)
+        assert failed[thetas[:, 0] > 5.5].all() and not failed.all()
+
+        own_batch = type("Doubled", (base,), {"log_density_batch": doubled})
+        inherited = type("Inherited", (own_batch,), {})
+        expected = base(*args).log_density_batch(thetas)
+        for cls in (own_batch, inherited):
+            assert cls.log_density_batch is doubled
+            values, failed = cls(*args).log_density_batch(thetas)
+            np.testing.assert_array_equal(values, 2.0 * expected[0])
+            np.testing.assert_array_equal(failed, expected[1])
