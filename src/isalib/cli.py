@@ -187,8 +187,12 @@ def _chain(config: RunConfig, target, rng, keep=None):
 
 
 def _modes(config: RunConfig, target, rng):
-    """The multistart results of `init.gmm` and their distinct modes."""
+    """The multistart results of `init.gmm` and their distinct modes.  A
+    `confidence` outside (0, 1) is a ConfigError before multistart runs."""
     spec = config.init["gmm"]
+    confidence = spec.get("confidence")
+    if confidence is not None and not 0.0 < confidence < 1.0:
+        raise ConfigError(f"init.gmm.confidence {confidence} is not in (0, 1)")
     results = multistart(target, spec["n_starts"], rng, settings=OptSettings(**config.opt))
     return results, dedup_modes(results, **_without(spec, "n_starts"))
 

@@ -3,6 +3,7 @@ Gaussian mixtures built from deduplicated multistart optimization modes."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,7 @@ STRETCH_A_DEFAULT = 2.0
 DEDUP_CONFIDENCE_DEFAULT = 0.95
 FEASIBLE_DRAW_BUDGET = 10_000  # prior draws allowed per walker
 STRETCH_BLOCK_STEPS = 1024  # steps whose uniforms are drawn at once
+DEDUP_BAND = 1e-9  # relative half-width of the band around 1 - confidence left to scipy
 
 
 def default_walker_count(n_theta: int) -> int:
@@ -154,6 +156,44 @@ def _mode_distance(mu_i, hess_i, mu_j) -> float:
     return float(dev @ hess_i @ dev)
 
 
+def _chi2_sf(d: float, k: int) -> float:
+    """P(X > d) for X chi-square with k degrees of freedom and finite d > 0,
+    in closed form (Abramowitz & Stegun 26.4.4-26.4.5).  With h = d/2 it is
+    the sum of e^-h h^i / Gamma(i + 1) over i = 0, 1, ..., k/2 - 1 for even
+    k, and erfc(sqrt(h)) plus that sum over i = 1/2, 3/2, ..., (k-2)/2 for
+    odd k; every term is positive."""
+    h = 0.5 * d
+    log_h = math.log(d) - math.log(2.0)  # finite where h underflows to 0
+    half = (k % 2) / 2  # the i are half-integers for odd k
+    terms = [math.erfc(math.sqrt(h))] if k % 2 else []
+    terms += [math.exp((j + half) * log_h - h - math.lgamma(j + half + 1.0))
+              for j in range(k // 2)]
+    return math.fsum(terms)
+
+
+def _within_quantile(d: float, dim: int, confidence: float) -> bool:
+    """d <= 2 * gammaincinv(dim/2, confidence), scipy's chi-square quantile.
+
+    A d <= 0 is within; a finite d > 0 whose tail _chi2_sf(d, dim) is
+    further than DEDUP_BAND (relative) from 1 - confidence is decided by
+    that tail.  Anything else asks scipy.  At scipy's quantile the tail is
+    within about 1e-12 of 1 - confidence, so every answer is scipy's.
+    """
+    if d <= 0.0:
+        return True
+    if math.isfinite(d):
+        tail = _chi2_sf(d, dim)
+        if tail < (1.0 - confidence) * (1.0 - DEDUP_BAND):
+            return False
+        if tail > (1.0 - confidence) * (1.0 + DEDUP_BAND):
+            return True
+    # imported here: scipy.special is slow to load, and only a pair this
+    # close to the quantile needs it
+    from scipy.special import gammaincinv
+
+    return d <= 2.0 * float(gammaincinv(dim / 2.0, confidence))
+
+
 def dedup_modes(
     candidates: list[OptimizationResult],
     confidence: float = DEDUP_CONFIDENCE_DEFAULT,
@@ -163,7 +203,10 @@ def dedup_modes(
     Two minima are distinct when the symmetrized distance
     max(d_ij, d_ji), with d_ij = (mu_i - mu_j)^T H_i (mu_i - mu_j), exceeds
     the chi-square quantile at `confidence` with n_theta degrees of freedom.
-    The lower-f_min representative of each cluster is kept.
+    The lower-f_min representative of each cluster is kept.  Each pair is
+    decided as scipy's quantile would decide it, but from the closed-form
+    chi-square tail (`_within_quantile`): scipy.special is loaded only for
+    a pair whose tail is within DEDUP_BAND of 1 - confidence.
     """
     converged = [c for c in candidates if c.status is OptStatus.CONVERGED]
     if not converged:
@@ -172,18 +215,14 @@ def dedup_modes(
         raise DomainError("confidence must be in (0, 1)")
     # stable order: ascending f_min, ties by lexicographic minimizer
     converged.sort(key=lambda c: (c.f_min, tuple(c.minimizer)))
-    # imported here: scipy.special is slow to load, and only init.gmm runs need it
-    from scipy.special import gammaincinv
     dim = converged[0].minimizer.size
-    # the chi-square quantile: the inverse regularized lower gamma at dim/2, doubled
-    threshold = 2.0 * float(gammaincinv(dim / 2.0, confidence))
     kept: list[OptimizationResult] = []
     for cand in converged:
         distinct = True
         for mode in kept:
             d_ij = _mode_distance(mode.minimizer, mode.hessian_approx, cand.minimizer)
             d_ji = _mode_distance(cand.minimizer, cand.hessian_approx, mode.minimizer)
-            if max(d_ij, d_ji) <= threshold:
+            if _within_quantile(max(d_ij, d_ji), dim, confidence):
                 distinct = False
                 break
         if distinct:

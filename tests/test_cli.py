@@ -471,6 +471,22 @@ class TestInitCommands:
         assert_one_line_error(capsys.readouterr().err, "init.mcmc.keep")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["run", "init-gmm"])
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, 1.5, float("nan")])
+    def test_confidence_out_of_range_fails_before_multistart(
+        self, tmp_path, capsys, monkeypatch, command, confidence
+    ):
+        def multistart(*args, **kwargs):
+            raise AssertionError("multistart ran")
+
+        monkeypatch.setattr(isalib.cli, "multistart", multistart)
+        data = toy_run_config(tmp_path, init={"gmm": {"n_starts": 10,
+                                                      "confidence": confidence}})
+        assert main([command, "--config", write_config(tmp_path, data)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert_one_line_error(err, f"init.gmm.confidence {confidence} is not in (0, 1)")
+        assert not (tmp_path / "out").exists()
+
     def test_init_mcmc_writes_ensemble(self, tmp_path):
         path = write_config(tmp_path, toy_run_config(tmp_path))
         assert main(["init-mcmc", "--config", path]) == EXIT_OK
@@ -494,8 +510,7 @@ class TestInitCommands:
 
 
 # Runs CLI commands in a fresh interpreter and reports, after each one, which
-# of scipy's slow-to-import subpackages it has loaded; dedup_modes is wrapped
-# to report them also as the first dedup begins.
+# of scipy's slow-to-import subpackages it has loaded.
 SCIPY_PROBE = """
 import json, sys
 import isalib.cli
@@ -503,19 +518,40 @@ import isalib.cli
 def heavy():
     return [m for m in ("scipy.special", "scipy.linalg") if m in sys.modules]
 
-at_dedup = []
-dedup = isalib.cli.dedup_modes
-def watched(*args, **kwargs):
-    at_dedup.append(heavy())
-    return dedup(*args, **kwargs)
-isalib.cli.dedup_modes = watched
-
 report = {"import": heavy()}
 for name, argv in json.loads(sys.argv[1]):
     report[name] = [isalib.cli.main(argv), heavy()]
-report["at_dedup"] = at_dedup
 print(json.dumps(report))
 """
+
+# Dedups two 5-d modes at squared distance argv[1] in a fresh interpreter and
+# reports the mode count and whether scipy.special was loaded before and after.
+DEDUP_PROBE = """
+import json, sys
+import numpy as np
+from isalib.init import dedup_modes
+from isalib.optimize import OptimizationResult, OptStatus
+
+hess = np.eye(5)
+hess[0, 0] = float(sys.argv[1])
+modes = [OptimizationResult(mu, f, hess, OptStatus.CONVERGED, 5)
+         for mu, f in ((np.zeros(5), 0.0), (np.eye(5)[0], 1.0))]
+before = "scipy.special" in sys.modules
+count = len(dedup_modes(modes, confidence=0.95))
+print(json.dumps([before, count, "scipy.special" in sys.modules]))
+"""
+
+
+def run_probe(probe, *args):
+    """The JSON report on the last line of `probe` run in a fresh interpreter."""
+    src = str(Path(isalib.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, *args],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+        check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 class TestImportGraph:
@@ -524,7 +560,9 @@ class TestImportGraph:
         data["output_dir"] = str(tmp_path / name)
         return data
 
-    def test_only_init_gmm_loads_scipy_special(self, tmp_path):
+    def test_no_command_loads_scipy(self, tmp_path):
+        # every subcommand on the shipped configs runs without scipy.special
+        # and scipy.linalg, init.gmm's dedup included
         run = self.shipped(tmp_path, "toy2d_mcmc")
         run["isa"]["samples"] = 2000
         baseline = self.shipped(tmp_path, "toy2d_baseline")
@@ -532,29 +570,36 @@ class TestImportGraph:
         ensemble = tmp_path / "toy2d_mcmc" / "ensemble.csv"
         triangle = toy_run_config(tmp_path, init={"file": str(ensemble)},
                                   output_dir=str(tmp_path / "triangle"))
-        gmm = self.shipped(tmp_path, "toy2d_gmm")
-        gmm["init"]["gmm"]["n_starts"] = 10
+        toy_gmm = self.shipped(tmp_path, "toy2d_gmm")
+        toy_gmm["init"]["gmm"]["n_starts"] = 10
+        regression_gmm = self.shipped(tmp_path, "regression_student_t")
+        regression_gmm["init"]["gmm"]["n_starts"] = 10
+        regression_run = self.shipped(tmp_path, "regression_student_t")
+        regression_run["isa"].update(samples=2000, max_iterations=2)
+        runs = [("run", "run", run), ("mcmc-baseline", "mcmc-baseline", baseline),
+                ("init-mcmc", "init-mcmc", toy_run_config(tmp_path)),
+                ("export-triangle", "export-triangle", triangle),
+                ("init-gmm toy2d", "init-gmm", toy_gmm),
+                ("init-gmm regression", "init-gmm", regression_gmm),
+                ("run regression", "run", regression_run)]
         commands = [
-            (command, [command, "--config", write_config(tmp_path, data, f"{command}.json")])
-            for command, data in [("run", run), ("mcmc-baseline", baseline),
-                                  ("init-mcmc", toy_run_config(tmp_path)),
-                                  ("export-triangle", triangle), ("init-gmm", gmm)]
+            (name, [command, "--config", write_config(tmp_path, data, f"{i}.json")])
+            for i, (name, command, data) in enumerate(runs)
         ]
-        src = str(Path(isalib.cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", SCIPY_PROBE, json.dumps(commands)],
-            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
-            check=True,
-        )
-        report = json.loads(proc.stdout.splitlines()[-1])
-        assert report["import"] == []
-        for command in ("run", "mcmc-baseline", "init-mcmc", "export-triangle"):
-            assert report[command] == [EXIT_OK, []], command
-        # init.gmm loads scipy.special, and only once its dedup has begun
-        assert report["at_dedup"] == [[]]
-        code, loaded = report["init-gmm"]
-        assert code == EXIT_OK and "scipy.special" in loaded
+        report = run_probe(SCIPY_PROBE, json.dumps(commands))
+        assert report.pop("import") == []
+        # two iterations of 2,000 draws do not converge on this posterior
+        assert report.pop("run regression") == [EXIT_MAX_ITERATIONS, []]
+        for name, (code, loaded) in report.items():
+            assert (code, loaded) == (EXIT_OK, []), name
+
+    def test_dedup_at_the_quantile_loads_scipy_special(self):
+        # a pair exactly at scipy's quantile is inside the band, so scipy
+        # decides it: the fallback is live, and the pair merges
+        from scipy.stats import chi2
+
+        quantile = float(chi2.ppf(0.95, df=5))
+        assert run_probe(DEDUP_PROBE, repr(quantile)) == [False, 1, True]
 
 
 class TestBaselineCommand:

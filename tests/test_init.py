@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isalib import (
     DomainError,
@@ -19,7 +21,14 @@ from isalib import (
     stretch_move_run,
 )
 import isalib.init
-from isalib.init import _stretch_draws, default_walker_count
+from isalib.init import (
+    DEDUP_BAND,
+    _chi2_sf,
+    _mode_distance,
+    _stretch_draws,
+    _within_quantile,
+    default_walker_count,
+)
 
 
 def rng_for(seed):
@@ -33,6 +42,35 @@ def converged(minimizer, f_min, hessian=None):
     return OptimizationResult(
         minimizer, f_min, np.asarray(hessian, dtype=float), OptStatus.CONVERGED, 5
     )
+
+
+def scipy_quantile(dim, confidence):
+    from scipy.special import gammaincinv
+
+    return 2.0 * float(gammaincinv(dim / 2.0, confidence))
+
+
+def reference_dedup(candidates, confidence):
+    """The dedup loop with scipy's quantile as its threshold, as it was
+    before the closed-form tail decided the pairs."""
+    converged = [c for c in candidates if c.status is OptStatus.CONVERGED]
+    converged.sort(key=lambda c: (c.f_min, tuple(c.minimizer)))
+    threshold = scipy_quantile(converged[0].minimizer.size, confidence)
+    kept = []
+    for cand in converged:
+        distinct = True
+        for mode in kept:
+            d_ij = _mode_distance(mode.minimizer, mode.hessian_approx, cand.minimizer)
+            d_ji = _mode_distance(cand.minimizer, cand.hessian_approx, mode.minimizer)
+            if max(d_ij, d_ji) <= threshold:
+                distinct = False
+                break
+        if distinct:
+            kept.append(cand)
+    return kept
+
+
+BAND_CONFIDENCES = (1e-6, 0.01, 0.5, 0.68, 0.95, 0.9999, 1 - 1e-9)
 
 
 class TestWalkerCount:
@@ -228,6 +266,60 @@ class TestDedupModes:
         np.testing.assert_allclose(
             np.sort(again.minimizers, axis=0), np.sort(first.minimizers, axis=0)
         )
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 6),
+        count=st.integers(2, 12),
+        spread=st.floats(0.1, 10.0),
+        confidence=st.sampled_from(BAND_CONFIDENCES),
+    )
+    def test_matches_the_scipy_threshold_loop(self, seed, dim, count, spread, confidence):
+        rng = rng_for(seed)
+        cands = []
+        for i in range(count):
+            root = rng.normal(size=(dim, dim))
+            hess = root @ root.T + 0.1 * np.eye(dim)
+            f_min = float(rng.integers(0, 4))  # ties are ordered by minimizer
+            cands.append(converged(rng.normal(scale=spread, size=dim), f_min, hess))
+        modes = dedup_modes(cands, confidence)
+        kept = reference_dedup(cands, confidence)
+        assert modes.minimizers.tobytes() == np.stack([m.minimizer for m in kept]).tobytes()
+        assert modes.f_mins.tolist() == [m.f_min for m in kept]
+
+
+class TestChi2Band:
+    def test_tail_matches_scipy(self):
+        from scipy.stats import chi2
+
+        rng = rng_for(12)
+        for k in [*range(1, 41), 99, 100, 301, 1000]:
+            for d in rng.uniform(1e-3, 3.0 * k + 30.0, 25):
+                assert _chi2_sf(d, k) == pytest.approx(chi2.sf(d, k), rel=1e-11), (k, d)
+
+    def test_scipy_quantile_is_inside_the_band(self):
+        for dim in [*range(1, 301), 500, 1000]:
+            for confidence in BAND_CONFIDENCES:
+                tail = _chi2_sf(scipy_quantile(dim, confidence), dim)
+                assert abs(tail / (1.0 - confidence) - 1.0) < DEDUP_BAND, (dim, confidence)
+
+    def test_decisions_near_the_quantile_are_scipys(self):
+        rng = rng_for(13)
+        for dim in [*range(1, 31), 64, 257]:
+            for confidence in BAND_CONFIDENCES:
+                threshold = scipy_quantile(dim, confidence)
+                for offset in 10.0 ** rng.uniform(-12, 1, 20):
+                    for d in (threshold * (1.0 + offset), threshold / (1.0 + offset)):
+                        assert _within_quantile(d, dim, confidence) == (d <= threshold), (
+                            dim, confidence, d)
+
+    @pytest.mark.parametrize("d", [0.0, -0.0, -1.0, -math.inf, 5e-324, math.nan, math.inf])
+    def test_edge_distances(self, d):
+        # d <= 0 and a subnormal merge; NaN and +inf stay apart, as with scipy's threshold
+        for dim in (1, 2, 5):
+            assert _within_quantile(d, dim, 0.95) == (d <= scipy_quantile(dim, 0.95))
 
 
 class TestBuildGmm:
