@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import iact_ensemble, triangle_export
+from .diagnostics import MIN_CHAIN_LENGTH, iact_ensemble, triangle_export
 from .ensemble import read_ensemble_csv, write_csv_table, write_ensemble_csv, write_json
 from .errors import ConfigError, IsaError
 from .init import (
@@ -272,16 +272,21 @@ def cmd_init_gmm(config: RunConfig) -> int:
 
 
 def cmd_mcmc_baseline(config: RunConfig) -> int:
+    steps = config.init["mcmc"]["steps"]
+    if steps < MIN_CHAIN_LENGTH:
+        raise ConfigError(
+            f"init.mcmc.steps {steps} is below the {MIN_CHAIN_LENGTH} the IACT needs"
+        )
     chain = _chain(config, build_target(config), _rng(config.seed))
+    by_walker = chain.by_walker()
+    taus = [
+        iact_ensemble(by_walker[:, :, coord]) for coord in range(chain.n_theta)
+    ]
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_csv_table(
         out / "chain.csv", [f"theta_{j}" for j in range(chain.n_theta)], chain.samples
     )
-    by_walker = chain.by_walker()
-    taus = [
-        iact_ensemble(by_walker[:, :, coord]) for coord in range(chain.n_theta)
-    ]
     report = {
         "walkers": chain.walkers,
         "steps": chain.steps,

@@ -24,16 +24,35 @@ DEFAULT_BINS = 50
 DEFAULT_RANGE_SIGMAS = 4.0
 
 
+def _fft_length(m: int) -> int:
+    """The smallest 2^a 3^b 5^c >= m, a length numpy's FFT handles fast."""
+    best = 1 << (m - 1).bit_length()
+    odd = 1  # runs over the 3^b 5^c below best
+    while odd < best:
+        factor = odd
+        while factor < best:
+            best = min(best, factor << (-(-m // factor) - 1).bit_length())
+            factor *= 3
+        odd *= 5
+    return best
+
+
 def _autocorrelation(chain: np.ndarray) -> np.ndarray:
-    """Normalized autocorrelation function via FFT."""
+    """Normalized autocorrelation function via an FFT of the 5-smooth length
+    size >= 2 n - 1.  The spectrum becomes the power spectrum in place: real
+    part re^2 + im^2, imaginary part 0."""
     n = chain.size
-    centered = chain - chain.mean()
-    size = 1 << (2 * n - 1).bit_length()
-    transform = np.fft.rfft(centered, n=size)
-    acf = np.fft.irfft(transform * np.conj(transform), n=size)[:n].real
+    size = _fft_length(2 * n - 1)
+    spectrum = np.fft.rfft(chain - chain.mean(), n=size)
+    pairs = spectrum.view(float).reshape(-1, 2)
+    np.square(pairs, out=pairs)
+    pairs[:, 0] += pairs[:, 1]
+    pairs[:, 1] = 0.0
+    acf = np.fft.irfft(spectrum, n=size)[:n]
     if acf[0] <= 0.0:
         raise ChainTooShort("chain is constant; autocorrelation undefined")
-    return acf / acf[0]
+    acf /= acf[0]
+    return acf
 
 
 def iact(chain) -> float:
@@ -53,9 +72,12 @@ def iact_ensemble(chains: np.ndarray) -> float:
         raise DomainError("expected shape (steps, walkers)")
     if chains.shape[0] < MIN_CHAIN_LENGTH:
         raise ChainTooShort(f"need at least {MIN_CHAIN_LENGTH} steps")
-    rho = np.mean(
-        [_autocorrelation(chains[:, w]) for w in range(chains.shape[1])], axis=0
-    )
+    # summed in walker order, then divided once: np.mean's order
+    steps, walkers = chains.shape
+    rho = np.zeros(steps)
+    for w in range(walkers):
+        rho += _autocorrelation(chains[:, w])
+    rho /= walkers
     tau = 2.0 * np.cumsum(rho) - 1.0  # tau_hat(T) = 1 + 2 sum_{t=1..T} rho(t)
     window = np.arange(len(tau)) >= SOKAL_C * tau
     t = np.argmax(window) if window.any() else len(tau) - 1
@@ -157,11 +179,12 @@ def triangle_export(
 ) -> list[Path]:
     """Write 1-d histogram CSVs per coordinate, 2-d histogram CSVs per pair,
     and a minimal SVG triangle grid.  Deterministic for a fixed ensemble."""
+    # the ranges raise on a degenerate ensemble, so before anything is made
+    binned = [_binned(ensemble, i, bins, r) for i, r in enumerate(default_ranges(ensemble))]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     d = ensemble.n_theta
     w = ensemble.weights
-    binned = [_binned(ensemble, i, bins, r) for i, r in enumerate(default_ranges(ensemble))]
     written: list[Path] = []
     hists1d = []
     for i in range(d):

@@ -29,12 +29,12 @@ def default_walker_count(n_theta: int) -> int:
 @dataclass(frozen=True)
 class McmcChain:
     """Stretch-move chain; samples are walker-major per step, i.e. sample
-    index step * walkers + walker."""
+    index step * walkers + walker, and every stored sample has a finite
+    density."""
 
     walkers: int
     steps: int
     samples: np.ndarray  # (steps * walkers, n_theta)
-    log_densities: np.ndarray  # matching log target densities
     acceptance_rate: float
 
     @property
@@ -88,7 +88,7 @@ def stretch_move_run(
     with probability min(1, z^(n-1) p(Y)/p(X_k)).  Walkers move in index
     order, so one half after the other; a proposal whose density is a
     failure (`is_failure`: a Failure, NaN or +-inf) is rejected, so every
-    stored log density is finite.
+    stored sample has a finite density.
 
     After the start walkers, the stream is u = rng.random((steps, walkers, 3)):
     walker w at step s takes z, its partner and its acceptance uniform from
@@ -105,7 +105,6 @@ def stretch_move_run(
     positions, logp = _draw_feasible_walkers(target, n_walkers, rng)
     positions, logp = positions.tolist(), logp.tolist()
     samples = np.empty((n_steps, n_walkers, dim))
-    log_densities = np.empty((n_steps, n_walkers))
     accepts = 0
     for start in range(0, n_steps, STRETCH_BLOCK_STEPS):
         u = rng.random((min(STRETCH_BLOCK_STEPS, n_steps - start), n_walkers, 3))
@@ -120,12 +119,10 @@ def stretch_move_run(
                     logp[w] = value
                     accepts += 1
             samples[step] = positions
-            log_densities[step] = logp
     return McmcChain(
         walkers=n_walkers,
         steps=n_steps,
         samples=samples.reshape(n_steps * n_walkers, dim),
-        log_densities=log_densities.reshape(-1),
         acceptance_rate=accepts / (n_steps * n_walkers),
     )
 

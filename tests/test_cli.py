@@ -24,7 +24,7 @@ from isalib.cli import (
 )
 from isalib.ensemble import WeightedEnsemble, read_ensemble_csv, write_ensemble_csv
 from isalib.errors import ConfigError
-from isalib.init import stretch_move_run
+from isalib.init import McmcChain, stretch_move_run
 from isalib.optimize import OptSettings
 from isalib.targets import GaussianTarget, Toy2DTarget
 
@@ -178,6 +178,13 @@ class TestRunConfig:
         path = write_config(tmp_path, toy_run_config(tmp_path, **overrides))
         assert main([command, "--config", path]) == EXIT_ERROR
         assert_one_line_error(capsys.readouterr().err, where)
+        assert not (tmp_path / "out").exists()
+
+    def test_baseline_steps_below_the_iact_minimum_clean_error(self, tmp_path, capsys):
+        # checked before the chain runs, so no chain.csv is left behind
+        data = toy_run_config(tmp_path, init={"mcmc": {"walkers": 4, "steps": 50}})
+        assert main(["mcmc-baseline", "--config", write_config(tmp_path, data)]) == EXIT_ERROR
+        assert_one_line_error(capsys.readouterr().err, "init.mcmc.steps 50")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -627,6 +634,16 @@ class TestBaselineCommand:
         expected = stretch_move_run(Toy2DTarget(), n_walkers=4, n_steps=2000, rng=rng)
         assert chain.tobytes() == expected.samples.tobytes()
 
+    def test_constant_chain_leaves_no_output(self, tmp_path, capsys, monkeypatch):
+        # the IACTs are computed before the output directory is made
+        constant = McmcChain(walkers=4, steps=200, samples=np.ones((800, 2)),
+                             acceptance_rate=0.0)
+        monkeypatch.setattr(isalib.cli, "stretch_move_run", lambda *a, **k: constant)
+        data = toy_run_config(tmp_path, init={"mcmc": {"walkers": 4, "steps": 200}})
+        assert main(["mcmc-baseline", "--config", write_config(tmp_path, data)]) == EXIT_ERROR
+        assert_one_line_error(capsys.readouterr().err, "chain is constant")
+        assert not (tmp_path / "out").exists()
+
 
 class TestExportTriangle:
     def test_round_trip_through_csv(self, tmp_path):
@@ -661,6 +678,18 @@ class TestExportTriangle:
         code = main(["export-triangle", "--config", write_config(tmp_path, data)])
         assert code == EXIT_ERROR
         assert_one_line_error(capsys.readouterr().err, "bad_weight.csv, line 4")
+
+    def test_degenerate_ensemble_leaves_no_output(self, tmp_path, capsys):
+        # one nonzero weight: the ranges need n_theta + 1 effective samples
+        ens_path = tmp_path / "degenerate.csv"
+        ens_path.write_text("weight,theta_0,theta_1\n1.0,1.0,2.0\n0.0,3.0,1.0\n0.0,2.0,2.0\n")
+        data = toy_run_config(
+            tmp_path, init={"file": str(ens_path)}, output_dir=str(tmp_path / "tri")
+        )
+        code = main(["export-triangle", "--config", write_config(tmp_path, data)])
+        assert code == EXIT_ERROR
+        assert_one_line_error(capsys.readouterr().err, "effective sample size 1 below")
+        assert not (tmp_path / "tri").exists()
 
 
 class TestWorkersEnv:

@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 from math import fsum
 
 import numpy as np
@@ -19,6 +20,27 @@ from isalib.diagnostics import (
 
 def rng_for(seed):
     return np.random.Generator(np.random.Philox(seed))
+
+
+def five_smooth(k):
+    for p in (2, 3, 5):
+        while k % p == 0:
+            k //= p
+    return k == 1
+
+
+def reference_iact(chains):
+    """The windowed IACT from direct lagged dot products, sum_i x_i x_(i+t)
+    per centered walker, normalized and averaged over walkers."""
+    n, walkers = chains.shape
+    rho = np.zeros(n)
+    for w in range(walkers):
+        x = chains[:, w] - chains[:, w].mean()
+        acf = np.array([x[: n - t] @ x[t:] for t in range(n)])
+        rho += acf / acf[0]
+    rho /= walkers
+    tau = 2.0 * np.cumsum(rho) - 1.0
+    return next((tau[t] for t in range(n) if t >= 5.0 * tau[t]), tau[-1])
 
 
 def ar1_chain(rho, n, rng):
@@ -76,6 +98,32 @@ class TestIactEnsemble:
             iact_ensemble(np.zeros(1000))
         with pytest.raises(ChainTooShort):
             iact_ensemble(np.zeros((10, 4)))
+
+    @pytest.mark.parametrize("walkers", [1, 3, 4])
+    @pytest.mark.parametrize("steps", [100, 257, 1000])  # 2n - 1 = 199, 513, 1999
+    def test_matches_direct_lagged_products(self, walkers, steps):
+        rng = rng_for(5)
+        chains = np.column_stack([ar1_chain(0.8, steps, rng) for _ in range(walkers)])
+        assert not five_smooth(2 * steps - 1)
+        assert iact_ensemble(chains) == pytest.approx(reference_iact(chains), rel=1e-10)
+
+    def test_fft_length_is_the_smallest_5_smooth(self):
+        for m in range(1, 5001):
+            expected = next(k for k in range(m, 2 * m + 1) if five_smooth(k))
+            assert isalib.diagnostics._fft_length(m) == expected, m
+
+    def test_traced_peak_of_a_long_chain(self):
+        # four walker ACFs at once and a 262,144-point complex product
+        # peaked at about 9 MB; one running sum and an in-place power
+        # spectrum of 200,000 points stay near 4 MB
+        chains = rng_for(6).standard_normal((100_000, 4))
+        tracemalloc.start()
+        try:
+            iact_ensemble(chains)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
 
 
 class TestHistograms:

@@ -94,7 +94,6 @@ class TestStretchMove:
     def test_chain_shapes_and_support(self):
         chain = stretch_move_run(Toy2DTarget(), n_walkers=6, n_steps=50, rng=rng_for(1))
         assert chain.samples.shape == (300, 2)
-        assert chain.log_densities.shape == (300,)
         assert chain.samples.min() >= 0.0 and chain.samples.max() <= 11.0
         assert chain.by_walker().shape == (50, 6, 2)
 
@@ -103,14 +102,12 @@ class TestStretchMove:
         chain = stretch_move_run(target, n_walkers=10, n_steps=500, rng=rng_for(2))
         assert 0.2 < chain.acceptance_rate < 0.95
 
-    def test_log_densities_match_samples(self):
-        # every stored density is the target's value at the stored sample,
+    def test_stored_samples_have_finite_density(self):
         # with both equal and unequal halves
         target = GaussianTarget(np.zeros(2), np.eye(2))
         for walkers in (4, 5):
             chain = stretch_move_run(target, n_walkers=walkers, n_steps=20, rng=rng_for(3))
-            for theta, lp in zip(chain.samples, chain.log_densities):
-                assert lp == target.log_density(theta)
+            assert all(math.isfinite(target.log_density(theta)) for theta in chain.samples)
 
     @pytest.mark.parametrize("walkers", [4, 5, 7])
     def test_stream_does_not_depend_on_block_size(self, monkeypatch, walkers):
@@ -120,8 +117,7 @@ class TestStretchMove:
             monkeypatch.setattr(isalib.init, "STRETCH_BLOCK_STEPS", block)
             rng = rng_for(9)
             chain = stretch_move_run(Toy2DTarget(), n_walkers=walkers, n_steps=1030, rng=rng)
-            runs.append((chain.samples.tobytes(), chain.log_densities.tobytes(),
-                         chain.acceptance_rate,
+            runs.append((chain.samples.tobytes(), chain.acceptance_rate,
                          json.dumps(rng.bit_generator.state, default=np.ndarray.tolist)))
         assert runs[0] == runs[1] == runs[2]
 
@@ -159,7 +155,7 @@ class TestStretchMove:
 
         target = InfRight(np.zeros(2), np.eye(2))
         chain = stretch_move_run(target, n_walkers=4, n_steps=200, rng=rng_for(7))
-        assert np.all(np.isfinite(chain.log_densities))
+        assert all(math.isfinite(target.log_density(theta)) for theta in chain.samples)
         assert chain.samples[:, 0].max() <= 1.0
         assert chain.acceptance_rate > 0.2
 
