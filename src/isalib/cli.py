@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import MIN_CHAIN_LENGTH, iact_ensemble, triangle_export
+from .diagnostics import MIN_CHAIN_LENGTH, STEPS_PER_TAU, iact_ensemble, triangle_export
 from .ensemble import read_ensemble_csv, write_csv_table, write_ensemble_csv, write_json
 from .errors import ConfigError, IsaError
 from .init import (
@@ -282,6 +282,14 @@ def cmd_mcmc_baseline(config: RunConfig) -> int:
     taus = [
         iact_ensemble(by_walker[:, :, coord]) for coord in range(chain.n_theta)
     ]
+    for coord, tau in enumerate(taus):
+        if chain.steps < STEPS_PER_TAU * tau:
+            print(
+                f"warning: theta_{coord}: {chain.steps} steps are fewer than "
+                f"{STEPS_PER_TAU} IACTs ({tau:.2f}), so the IACT may be far too "
+                f"small; its window is {tau.window} steps",
+                file=sys.stderr,
+            )
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_csv_table(
@@ -292,6 +300,7 @@ def cmd_mcmc_baseline(config: RunConfig) -> int:
         "steps": chain.steps,
         "acceptance_rate": chain.acceptance_rate,
         "iact": taus,
+        "window": [tau.window for tau in taus],
     }
     write_json(out / "iact.json", report)
     print("IACT per coordinate: " + ", ".join(f"{t:.2f}" for t in taus))

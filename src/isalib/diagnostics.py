@@ -20,6 +20,7 @@ from .linalg import total
 
 MIN_CHAIN_LENGTH = 100
 SOKAL_C = 5.0  # adaptive window: smallest T with T >= 5 * tau_hat(T)
+STEPS_PER_TAU = 50  # a chain shorter than this many IACTs gives an unreliable one (emcee)
 DEFAULT_BINS = 50
 DEFAULT_RANGE_SIGMAS = 4.0
 
@@ -55,6 +56,17 @@ def _autocorrelation(chain: np.ndarray) -> np.ndarray:
     return acf
 
 
+class IactEstimate(float):
+    """An IACT tau_hat(T) that also carries its Sokal window T, in steps, as
+    `window`.  In a chain of fewer than STEPS_PER_TAU * tau steps the window
+    is a large share of the chain, and tau_hat may be far too small."""
+
+    def __new__(cls, tau: float, window: int):
+        estimate = super().__new__(cls, tau)
+        estimate.window = window
+        return estimate
+
+
 def iact(chain) -> float:
     """Integrated autocorrelation time tau = 1 + 2 sum rho(t) with a
     Sokal-style adaptive window (smallest T with T >= 5 tau_hat(T))."""
@@ -66,7 +78,8 @@ def iact(chain) -> float:
 
 def iact_ensemble(chains: np.ndarray) -> float:
     """IACT from several walkers of one coordinate, shape (steps, walkers):
-    per-walker autocorrelations are averaged before windowing."""
+    per-walker autocorrelations are averaged before windowing.  Returns an
+    IactEstimate, so the window it was read at comes with it."""
     chains = np.asarray(chains, dtype=float)
     if chains.ndim != 2:
         raise DomainError("expected shape (steps, walkers)")
@@ -81,7 +94,7 @@ def iact_ensemble(chains: np.ndarray) -> float:
     tau = 2.0 * np.cumsum(rho) - 1.0  # tau_hat(T) = 1 + 2 sum_{t=1..T} rho(t)
     window = np.arange(len(tau)) >= SOKAL_C * tau
     t = np.argmax(window) if window.any() else len(tau) - 1
-    return float(max(tau[t], 1e-12))
+    return IactEstimate(max(tau[t], 1e-12), int(t))
 
 
 @dataclass(frozen=True)

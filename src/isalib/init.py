@@ -10,7 +10,7 @@ import numpy as np
 
 from .ensemble import WeightedEnsemble
 from .errors import DomainError, EmptyInput, InitializationFailed
-from .optimize import OptimizationResult, OptSettings, OptStatus, minimize
+from .optimize import OptimizationResult, OptSettings, OptStatus, minimize_all
 from .proposals import GaussianMixtureProposal, GaussianProposal, gmm_weights
 from .targets import TargetDensity, is_failure
 
@@ -19,6 +19,7 @@ DEDUP_CONFIDENCE_DEFAULT = 0.95
 FEASIBLE_DRAW_BUDGET = 10_000  # prior draws allowed per walker
 STRETCH_BLOCK_STEPS = 1024  # steps whose uniforms are drawn at once
 DEDUP_BAND = 1e-9  # relative half-width of the band around 1 - confidence left to scipy
+F_MIN_TIE = 1e-9  # kept modes whose f_min is this close (relative) are ordered by minimizer
 
 
 def default_walker_count(n_theta: int) -> int:
@@ -204,6 +205,12 @@ def dedup_modes(
     decided as scipy's quantile would decide it, but from the closed-form
     chi-square tail (`_within_quantile`): scipy.special is loaded only for
     a pair whose tail is within DEDUP_BAND of 1 - confidence.
+
+    The kept modes come in ascending f_min, except that each run of modes
+    whose f_min is within a relative F_MIN_TIE of the run's lowest is
+    ordered by minimizer (lexicographic).  Modes of a symmetric posterior
+    have f_min equal up to rounding, so a change in rounding cannot swap
+    them, nor the mixture components built from them.
     """
     converged = [c for c in candidates if c.status is OptStatus.CONVERGED]
     if not converged:
@@ -224,6 +231,12 @@ def dedup_modes(
                 break
         if distinct:
             kept.append(cand)
+    ordered: list[OptimizationResult] = []
+    while len(ordered) < len(kept):
+        low = kept[len(ordered)].f_min
+        tied = [m for m in kept[len(ordered):] if m.f_min - low <= F_MIN_TIE * abs(low)]
+        ordered += sorted(tied, key=lambda m: tuple(m.minimizer))
+    kept = ordered
     return ModeSet(
         minimizers=np.stack([m.minimizer for m in kept]),
         f_mins=np.array([m.f_min for m in kept]),
@@ -249,10 +262,9 @@ def multistart(
     rng: np.random.Generator,
     settings: OptSettings | None = None,
 ) -> list[OptimizationResult]:
-    """Run `minimize` from n_starts prior draws.  Failed results are kept
-    (they are data for reporting) but carry FAILED status."""
+    """`minimize_all` from n_starts prior draws: Levenberg-Marquardt runs
+    every start in lockstep, BFGS one start after the other.  Failed results
+    are kept (they are data for reporting) but carry FAILED status."""
     if n_starts < 1:
         raise DomainError("n_starts must be >= 1")
-    starts = target.sample_prior(rng, n_starts)
-    settings = settings or OptSettings()
-    return [minimize(target, start, settings) for start in starts]
+    return minimize_all(target, target.sample_prior(rng, n_starts), settings)

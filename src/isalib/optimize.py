@@ -1,8 +1,10 @@
 """Minimization of the negative log-posterior F for mixture initialization.
 
-Targets exposing least-squares structure (a `residuals` method) are minimized
-with damped Gauss-Newton (Levenberg-Marquardt); everything else falls back to
-BFGS with finite-difference gradients.  Accepted steps strictly decrease F.
+Targets exposing least-squares structure (`residuals` and its batch form
+`residuals_batch`) are minimized with damped Gauss-Newton
+(Levenberg-Marquardt), all the starts of a multistart in lockstep;
+everything else falls back to BFGS with finite-difference gradients.
+Accepted steps strictly decrease F.
 A value fails when `targets.is_failure` says so (a Failure, NaN or +-inf);
 failed trial steps are rejected and stencils fall back to one side.
 """
@@ -145,57 +147,109 @@ def _fd_jacobian(residuals, theta, rel_step):
     return np.column_stack(_central_differences(residuals, theta, rel_step))
 
 
-def _minimize_lm(target, start, settings):
-    theta = np.asarray(start, dtype=float)
-    r = target.residuals(theta)
-    if is_failure(r):
-        return _failed(theta)
-    r = np.asarray(r)
-    fval = 0.5 * float(r @ r)
-    history = [fval]
-    lam = 1e-3
-    status = OptStatus.MAX_ITERATIONS
-    it = 0
-    for it in range(1, settings.max_iter + 1):
+def _stencil_jacobians(target, thetas, rel_step):
+    """Transposed residual Jacobians (S, n, m) of the rows of `thetas` by
+    central differences, from one `residuals_batch` call over the 2n
+    stencil points of every row, and a mask of the rows that have one.  A
+    row with a failed stencil point is redone by `_fd_jacobian` (one-sided
+    where a side fails); if that raises EvaluationFailed, the row has none."""
+    s, n = thetas.shape
+    h = rel_step * (1.0 + np.abs(thetas))
+    diag = np.arange(n)
+    up = np.repeat(thetas[:, None, :], n, axis=1)  # (S, n, n), row j moves theta_j
+    dn = up.copy()
+    up[:, diag, diag] += h
+    dn[:, diag, diag] -= h
+    r, failed = target.residuals_batch(np.stack([up, dn], axis=2).reshape(-1, n))
+    r = r.reshape(s, n, 2, r.shape[1])
+    jt = (r[:, :, 0] - r[:, :, 1]) / (2.0 * h)[:, :, None]
+    ok = ~failed.reshape(s, 2 * n).any(axis=1)
+    for i in np.flatnonzero(~ok):
         try:
-            jac = _fd_jacobian(target.residuals, theta, settings.rel_step)
+            jt[i] = _fd_jacobian(target.residuals, thetas[i], rel_step).T
+            ok[i] = True
         except EvaluationFailed:
-            status = OptStatus.FAILED
+            pass
+    return jt, ok
+
+
+def _norms_sq(x):
+    """Squared norm of every row of a 2-d array."""
+    return np.einsum("ij,ij->i", x, x)
+
+
+def _minimize_lm(target, starts, settings):
+    """Levenberg-Marquardt from every row of `starts` in lockstep.
+
+    Each iteration makes one `residuals_batch` call for the stencils of
+    every start still running, one stacked solve of their damped normal
+    equations, and one `residuals_batch` call per damping round for the
+    trial steps still pending.  The reductions are plain einsum and each
+    start's solve is its own, so a start's result does not depend on which
+    other starts share its batch.  Per start: lambda starts at 1e-3, grows
+    x10 on a rejected (or failed) trial up to 1e12 and shrinks /10 on an
+    accepted one down to 1e-12."""
+    theta = np.array(starts, dtype=float)
+    n_starts, n = theta.shape
+    r, start_failed = target.residuals_batch(theta)
+    f = 0.5 * _norms_sq(r)
+    lam = np.full(n_starts, 1e-3)
+    n_iter = np.zeros(n_starts, dtype=int)
+    status = np.full(n_starts, OptStatus.MAX_ITERATIONS, dtype=object)
+    history = [[value] for value in f.tolist()]
+    active = np.flatnonzero(~start_failed)
+    for it in range(1, settings.max_iter + 1):
+        if active.size == 0:
             break
-        grad = jac.T @ r
-        if np.linalg.norm(grad) <= settings.grad_tol:
-            status = OptStatus.CONVERGED
-            break
-        jtj = jac.T @ jac
-        accepted = False
-        while lam <= 1e12:
-            step = np.linalg.solve(jtj + lam * np.eye(theta.size), -grad)
-            trial = theta + step
-            r_trial = target.residuals(trial)
-            if not is_failure(r_trial):
-                r_trial = np.asarray(r_trial)
-                f_trial = 0.5 * float(r_trial @ r_trial)
-                if f_trial < fval:
-                    accepted = True
-                    break
-            lam *= 10.0
-        if not accepted:
-            status = OptStatus.FAILED
-            break
-        lam = max(lam / 10.0, 1e-12)
-        df = fval - f_trial
-        theta, r, fval = trial, r_trial, f_trial
-        history.append(fval)
-        if df < settings.f_tol * (1.0 + abs(fval)):
-            status = OptStatus.CONVERGED
-            break
-    try:
-        jac = _fd_jacobian(target.residuals, theta, settings.rel_step)
+        n_iter[active] = it
+        jt, ok = _stencil_jacobians(target, theta[active], settings.rel_step)
+        status[active[~ok]] = OptStatus.FAILED
+        active, jt = active[ok], jt[ok]
+        grad = np.einsum("akm,am->ak", jt, r[active])
+        flat = np.sqrt(_norms_sq(grad)) <= settings.grad_tol
+        status[active[flat]] = OptStatus.CONVERGED
+        active, jt, grad = active[~flat], jt[~flat], grad[~flat]
+        jtj = np.einsum("akm,alm->akl", jt, jt)
+        # the damping rounds: `pending` indexes the active starts whose trial
+        # step is neither accepted nor given up on; an accepted step moves
+        # its start at once and records how much F fell
+        df = np.full(active.size, np.nan)
+        pending = np.arange(active.size)
+        while pending.size:
+            rows = active[pending]
+            damped = jtj[pending] + lam[rows, None, None] * np.eye(n)
+            trial = theta[rows] + np.linalg.solve(damped, -grad[pending, :, None])[..., 0]
+            r_trial, failed = target.residuals_batch(trial)
+            f_trial = 0.5 * _norms_sq(r_trial)
+            good = ~failed & (f_trial < f[rows])
+            if good.any():
+                moved = rows[good]
+                df[pending[good]] = f[moved] - f_trial[good]
+                theta[moved], r[moved], f[moved] = trial[good], r_trial[good], f_trial[good]
+            lam[rows[~good]] *= 10.0
+            pending = pending[~good & (lam[rows] <= 1e12)]
+        accepted = ~np.isnan(df)
+        status[active[~accepted]] = OptStatus.FAILED
+        active, df = active[accepted], df[accepted]
+        lam[active] = np.maximum(lam[active] / 10.0, 1e-12)
+        for i in active:
+            history[i].append(float(f[i]))
+        converged = df < settings.f_tol * (1.0 + np.abs(f[active]))
+        status[active[converged]] = OptStatus.CONVERGED
+        active = active[~converged]
+    live = np.flatnonzero(~start_failed)
+    jt, ok = _stencil_jacobians(target, theta[live], settings.rel_step)
+    results = [_failed(start) for start in np.asarray(starts, dtype=float)]
+    for k, i in enumerate(live):
         # the prior rows are part of the whitened residuals, so J holds them
-        hessian = gauss_newton_hessian(jac, np.zeros((theta.size, theta.size)))
-    except EvaluationFailed:
-        hessian = np.eye(theta.size)
-    return OptimizationResult(theta, fval, hessian, status, it, tuple(history))
+        hessian = (
+            gauss_newton_hessian(jt[k].T, np.zeros((n, n))) if ok[k] else np.eye(n)
+        )
+        results[i] = OptimizationResult(
+            theta[i].copy(), float(f[i]), hessian, status[i], int(n_iter[i]),
+            tuple(history[i]),
+        )
+    return results
 
 
 def _minimize_bfgs(target, start, settings):
@@ -280,13 +334,27 @@ def _failed(theta):
 def minimize(
     target: TargetDensity, start, settings: OptSettings | None = None
 ) -> OptimizationResult:
-    """Minimize F = -log posterior from `start`.
+    """Minimize F = -log posterior from `start`: `minimize_all` with this
+    one start.
 
-    Infeasible starts (Failure density) return a FAILED result immediately.
-    Stops when |dF| < f_tol*(1+|F|), the gradient norm drops below grad_tol,
-    or max_iter is reached.
+    A target with `residuals_batch` (least-squares structure) is minimized
+    by Levenberg-Marquardt, any other by BFGS with finite-difference
+    gradients.  Infeasible starts (Failure density) return a FAILED result
+    immediately.  Stops when |dF| < f_tol*(1+|F|), the gradient norm drops
+    below grad_tol, or max_iter is reached.
     """
+    return minimize_all(target, np.asarray(start, dtype=float)[None, :], settings)[0]
+
+
+def minimize_all(
+    target: TargetDensity, starts, settings: OptSettings | None = None
+) -> list[OptimizationResult]:
+    """`minimize` from every row of `starts`; each start's result is the
+    same as alone.  Levenberg-Marquardt moves all the starts in lockstep,
+    one residual batch per stage; BFGS runs one start after the other.  The
+    choice is by attribute, so a proxy that forwards `residuals_batch`
+    keeps it."""
     settings = settings or OptSettings()
-    if hasattr(target, "residuals"):
-        return _minimize_lm(target, start, settings)
-    return _minimize_bfgs(target, start, settings)
+    if getattr(target, "residuals_batch", None) is not None:
+        return _minimize_lm(target, starts, settings)
+    return [_minimize_bfgs(target, start, settings) for start in starts]

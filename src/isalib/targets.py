@@ -50,12 +50,17 @@ class TargetDensity:
     boolean mask, with `-inf` in every failed row.  The default loops over
     `log_density`; a target may override it with a vectorized version that
     agrees with the per-point path up to rounding and gives each row the
-    same result however the batch is split.  The built-in targets do.  One
-    rule keeps the two paths together: a class that defines `log_density`
-    or `residuals` but not `log_density_batch` gets the default loop, which
-    marks every value `is_failure` rejects.  Non-finite values that a
-    vectorized override returns are counted as failures where the batch is
-    evaluated (`isa.parallel_map_density`).
+    same result however the batch is split.  The built-in targets do.
+    Least-squares targets have the same pair for their residuals:
+    `residuals_batch(thetas) -> (r, failed)`, an (n, m) array with NaN in
+    every failed row and the mask; the optimizer's Levenberg-Marquardt
+    calls it.  One rule keeps the paths together: a class that defines
+    `log_density` or `residuals` but not `log_density_batch` gets the
+    default loop, which marks every value `is_failure` rejects, and a class
+    that defines `residuals` but not `residuals_batch` gets
+    `residuals_loop`, one `residuals` call per row.  Non-finite values that
+    a vectorized override returns are counted as failures where the batch
+    is evaluated (`isa.parallel_map_density`).
     """
 
     dimension: int
@@ -65,6 +70,8 @@ class TargetDensity:
         own = vars(cls)
         if ("log_density" in own or "residuals" in own) and "log_density_batch" not in own:
             cls.log_density_batch = TargetDensity.log_density_batch
+        if "residuals" in own and "residuals_batch" not in own:
+            cls.residuals_batch = residuals_loop
 
     def log_density(self, theta):
         raise NotImplementedError
@@ -83,6 +90,20 @@ class TargetDensity:
     def neg_log_posterior(self, theta) -> float:
         value = self.log_density(theta)
         return math.inf if is_failure(value) else -value
+
+
+def residuals_loop(target, thetas):
+    """`residuals_batch` by one `target.residuals` call per row: (r, failed),
+    where a row fails on a Failure or on a non-finite entry and holds NaN."""
+    values = [target.residuals(theta) for theta in np.asarray(thetas, dtype=float)]
+    failed = np.array(
+        [is_failure(v) or not np.all(np.isfinite(v)) for v in values], dtype=bool
+    )
+    width = next((np.size(v) for v, f in zip(values, failed) if not f), 0)
+    r = np.full((len(values), width), math.nan)
+    for i in np.flatnonzero(~failed):
+        r[i] = values[i]
+    return r, failed
 
 
 class Toy2DTarget(TargetDensity):
@@ -177,7 +198,9 @@ class RegressionTarget(TargetDensity):
     `model` maps a parameter vector to a length-n_z prediction or a Failure;
     model failures propagate (likelihood treated as zero).  A model with a
     `batch(thetas) -> (n, n_z)` attribute is evaluated one batch at a time,
-    and a row with a non-finite prediction fails.
+    and a row with a non-finite prediction fails.  `residuals_batch` holds
+    that batch code; `log_density_batch` and the optimizer's lockstep
+    Levenberg-Marquardt both go through it.
     """
 
     def __init__(self, model, data_z, noise_sd, prior_mean, prior_sd):
@@ -216,23 +239,35 @@ class RegressionTarget(TargetDensity):
             return r
         return -0.5 * float(r @ r)
 
-    def log_density_batch(self, thetas):
+    def residuals_batch(self, thetas):
+        """The whitened residuals of every row and the failed mask, from one
+        `model.batch` call; a row with a non-finite prediction fails and
+        holds NaN.  A model without `batch` is evaluated by `residuals_loop`."""
         batch = getattr(self.model, "batch", None)
         if batch is None:
-            return super().log_density_batch(thetas)
+            return residuals_loop(self, thetas)
         thetas = np.asarray(thetas, dtype=float)
         pred = np.asarray(batch(thetas), dtype=float)
         if pred.shape != (len(thetas), self.data_z.size):
             raise DomainError("model.batch output must have shape (n, n_z)")
         failed = ~np.all(np.isfinite(pred), axis=1)
-        # the whitened residuals of every row, written in place: a batch
-        # holds one (n, n_z + n_theta) array besides the predictions
+        # written in place: a batch holds one (n, n_z + n_theta) array
+        # besides the predictions
         n_z = self.data_z.size
         r = np.empty((len(thetas), n_z + self.dimension))
         np.subtract(self.data_z, pred, out=r[:, :n_z])
         np.subtract(thetas, self.prior_mean, out=r[:, n_z:])
         r[:, :n_z] /= self.noise_sd
         r[:, n_z:] /= self.prior_sd
+        r[failed] = math.nan
+        return r, failed
+
+    def log_density_batch(self, thetas):
+        """-0.5 ||r||^2 over `residuals_batch`; a model without `batch` keeps
+        the per-point loop, so its values equal `log_density` bitwise."""
+        if getattr(self.model, "batch", None) is None:
+            return super().log_density_batch(thetas)
+        r, failed = self.residuals_batch(thetas)
         values = -0.5 * np.einsum("ij,ij->i", r, r)
         values[failed] = -math.inf
         return values, failed

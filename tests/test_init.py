@@ -242,6 +242,24 @@ class TestDedupModes:
                     cands = [converged(np.zeros(dim), 0.0, hess), converged(step, 1.0, hess)]
                     assert len(dedup_modes(cands, confidence)) == kept, (dim, confidence)
 
+    @pytest.mark.parametrize("ulps", [-3, -1, 0, 1, 3])
+    def test_rounding_of_f_min_cannot_swap_modes(self, ulps):
+        # the two modes of a posterior symmetric in theta_0 have f_min equal
+        # up to rounding; whichever comes out lower, they are ordered by
+        # minimizer, while an f_min outside the tie band still comes after
+        low = 2.497967869611777
+        plus = low
+        for _ in range(abs(ulps)):
+            plus = np.nextafter(plus, math.copysign(math.inf, ulps))
+        cands = [
+            converged([1.512, 0.3], plus),
+            converged([5.0, 5.0], low * (1.0 + 1e-8)),
+            converged([-1.512, 0.3], low),
+        ]
+        modes = dedup_modes(cands)
+        assert modes.minimizers[:, 0].tolist() == [-1.512, 1.512, 5.0]
+        assert modes.f_mins.tolist() == [low, plus, low * (1.0 + 1e-8)]
+
     def test_confidence_validated(self):
         with pytest.raises(DomainError):
             dedup_modes([converged([0.0], 0.0, [[1.0]])], confidence=1.5)

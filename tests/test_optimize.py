@@ -7,6 +7,7 @@ from isalib import (
     EvaluationFailed,
     FAILURE,
     GaussianTarget,
+    OptimizationResult,
     OptSettings,
     OptStatus,
     RegressionTarget,
@@ -16,8 +17,8 @@ from isalib import (
     gauss_newton_hessian,
     minimize,
 )
-from isalib.optimize import _fd_jacobian, repair_spd_eig
-from isalib.targets import is_failure
+from isalib.optimize import _failed, _fd_jacobian, minimize_all, repair_spd_eig
+from isalib.targets import is_failure, make_synthetic_regression
 
 
 def reference_gradient(f, theta, rel_step=1e-6):
@@ -311,3 +312,167 @@ class TestMinimizeLm:
         )
         result = minimize(target, np.array([-1.2, 1.0]), OptSettings(max_iter=500))
         np.testing.assert_allclose(result.minimizer, [1.0, 1.0], atol=1e-3)
+
+
+def reference_lm(target, start, settings):
+    """Levenberg-Marquardt one start at a time, as it was before the starts
+    moved in lockstep; kept as the reference for the lockstep version."""
+    theta = np.asarray(start, dtype=float)
+    r = target.residuals(theta)
+    if is_failure(r):
+        return _failed(theta)
+    r = np.asarray(r)
+    fval = 0.5 * float(r @ r)
+    history = [fval]
+    lam = 1e-3
+    status = OptStatus.MAX_ITERATIONS
+    it = 0
+    for it in range(1, settings.max_iter + 1):
+        try:
+            jac = _fd_jacobian(target.residuals, theta, settings.rel_step)
+        except EvaluationFailed:
+            status = OptStatus.FAILED
+            break
+        grad = jac.T @ r
+        if np.linalg.norm(grad) <= settings.grad_tol:
+            status = OptStatus.CONVERGED
+            break
+        jtj = jac.T @ jac
+        accepted = False
+        while lam <= 1e12:
+            step = np.linalg.solve(jtj + lam * np.eye(theta.size), -grad)
+            trial = theta + step
+            r_trial = target.residuals(trial)
+            if not is_failure(r_trial):
+                r_trial = np.asarray(r_trial)
+                f_trial = 0.5 * float(r_trial @ r_trial)
+                if f_trial < fval:
+                    accepted = True
+                    break
+            lam *= 10.0
+        if not accepted:
+            status = OptStatus.FAILED
+            break
+        lam = max(lam / 10.0, 1e-12)
+        df = fval - f_trial
+        theta, r, fval = trial, r_trial, f_trial
+        history.append(fval)
+        if df < settings.f_tol * (1.0 + abs(fval)):
+            status = OptStatus.CONVERGED
+            break
+    try:
+        jac = _fd_jacobian(target.residuals, theta, settings.rel_step)
+        hessian = gauss_newton_hessian(jac, np.zeros((theta.size, theta.size)))
+    except EvaluationFailed:
+        hessian = np.eye(theta.size)
+    return OptimizationResult(theta, fval, hessian, status, it, tuple(history))
+
+
+def shipped_regression():
+    """The regression target of configs/regression_student_t.json."""
+    return make_synthetic_regression(
+        5, 12, 0.1, [0.0] * 5, [3.0] * 5, [1.0, -0.5, 0.8, 0.3, -1.2], data_seed=11
+    )
+
+
+def edge_model(fails):
+    """A 2-parameter model that fails where theta_0 > 1.2: by a Failure (per
+    point only, so its residuals go through the loop) or by NaN predictions
+    (per point and in `batch`)."""
+
+    def predict(t):
+        return np.stack([t[0] + t[1], t[0] - t[1], 2.0 * t[0], t[1] ** 2 / 3.0])
+
+    def model(theta):
+        if theta[0] > 1.2:
+            return FAILURE if fails == "failure" else np.full(4, np.nan)
+        return predict(theta)
+
+    if fails == "nan":
+        model.batch = lambda thetas: np.where(
+            thetas[:, :1] > 1.2, np.nan, predict(thetas.T).T
+        )
+    return model
+
+
+def edge_target(fails, theta_0):
+    """Data from (theta_0, -0.5): the optimum lies inside the region where
+    the model works (theta_0 1.1), or past its edge (1.3), where the
+    stencils and the trial steps fail."""
+    return RegressionTarget(
+        edge_model(fails),
+        data_z=np.array([theta_0 - 0.45, theta_0 + 0.55, 2.0 * theta_0 + 0.05, 0.25 / 3.0]),
+        noise_sd=np.full(4, 0.1),
+        prior_mean=np.zeros(2),
+        prior_sd=np.full(2, 3.0),
+    )
+
+
+LOCKSTEP_CASES = {
+    "regression": (shipped_regression, 5),
+    "failure-inside": (lambda: edge_target("failure", 1.1), 2),
+    "failure-past-edge": (lambda: edge_target("failure", 1.3), 2),
+    "nan-inside": (lambda: edge_target("nan", 1.1), 2),
+    "nan-past-edge": (lambda: edge_target("nan", 1.3), 2),
+}
+
+
+def lockstep_starts(case):
+    """50 starts; on the edge targets some start inside the failing region."""
+    make, dim = LOCKSTEP_CASES[case]
+    target = make()
+    starts = np.random.default_rng(17).normal(scale=2.0, size=(50, dim))
+    return target, starts
+
+
+def assert_same_result(a, b):
+    assert a.minimizer.tobytes() == b.minimizer.tobytes()
+    assert a.hessian_approx.tobytes() == b.hessian_approx.tobytes()
+    assert (a.f_min, a.status, a.n_iter, a.f_history) == (
+        b.f_min, b.status, b.n_iter, b.f_history
+    )
+
+
+class TestLockstepLm:
+    """All the starts of a multistart move in lockstep; each start's result
+    is its own."""
+
+    @pytest.mark.parametrize("case", sorted(LOCKSTEP_CASES))
+    def test_result_does_not_depend_on_the_batch(self, case):
+        target, starts = lockstep_starts(case)
+        together = minimize_all(target, starts)
+        perm = np.random.default_rng(3).permutation(len(starts))
+        permuted = minimize_all(target, starts[perm])
+        for i, start in enumerate(starts):
+            assert_same_result(together[i], minimize(target, start))
+        for k, i in enumerate(perm):
+            assert_same_result(permuted[k], together[i])
+
+    @pytest.mark.parametrize("case", sorted(LOCKSTEP_CASES))
+    def test_matches_the_per_start_reference(self, case):
+        target, starts = lockstep_starts(case)
+        settings = OptSettings()
+        results = minimize_all(target, starts, settings)
+        statuses = set()
+        for start, result in zip(starts, results):
+            ref = reference_lm(target, start, settings)
+            assert (result.status, result.n_iter) == (ref.status, ref.n_iter)
+            np.testing.assert_allclose(result.minimizer, ref.minimizer, rtol=1e-6)
+            statuses.add((result.status, result.n_iter == 0))
+        if case != "regression":
+            # some starts fail at once; the others converge inside the
+            # region, or fail at its edge
+            ends = OptStatus.CONVERGED if case.endswith("inside") else OptStatus.FAILED
+            assert statuses == {(OptStatus.FAILED, True), (ends, False)}
+
+    def test_one_residual_batch_per_stage(self):
+        target, starts = lockstep_starts("regression")
+        calls = []
+        batch = target.residuals_batch
+        target.residuals_batch = lambda thetas: calls.append(len(thetas)) or batch(thetas)
+        results = minimize_all(target, starts)
+        # the start residuals, then per iteration the stencils of every
+        # running start and at least one damping round, then the final stencils
+        rounds = max(r.n_iter for r in results)
+        assert calls[0] == len(starts) and calls[-1] == 2 * 5 * len(starts)
+        assert 2 * rounds + 2 <= len(calls) < sum(r.n_iter for r in results)

@@ -11,10 +11,12 @@ from isalib import (
     Toy2DTarget,
     is_failure,
     make_synthetic_regression,
+    minimize,
+    multistart,
     toy2d_log_density,
 )
 from isalib.optimize import finite_diff_gradient
-from isalib.targets import TargetDensity, builtin_regression_model
+from isalib.targets import TargetDensity, builtin_regression_model, residuals_loop
 
 
 def toy_f(theta):
@@ -378,3 +380,108 @@ class TestLogDensityBatch:
             values, failed = cls(*args).log_density_batch(thetas)
             np.testing.assert_array_equal(values, 2.0 * expected[0])
             np.testing.assert_array_equal(failed, expected[1])
+
+
+def edge_regression(batch):
+    """REGRESSION's target with a model that fails where theta_0 > 5.5, past
+    which its optimum lies: by a Failure per point and, with `batch`, by NaN
+    rows of the batch."""
+
+    def model(theta):
+        return Failure("edge") if theta[0] > 5.5 else REGRESSION.model(theta)
+
+    if batch:
+        model.batch = lambda thetas: np.where(
+            thetas[:, :1] > 5.5, np.nan, REGRESSION.model.batch(thetas)
+        )
+    return RegressionTarget(model, REGRESSION.data_z, REGRESSION.noise_sd,
+                            REGRESSION.prior_mean, REGRESSION.prior_sd)
+
+
+class CountingProxy:
+    """Counts every point passed to the target's evaluation methods and
+    forwards everything else, as the benchmark's counting proxy does."""
+
+    def __init__(self, target):
+        self._target = target
+        self.points = 0
+        for name in dir(target):
+            if name in ("log_density", "residuals", "neg_log_posterior"):
+                setattr(self, name, self._counted(getattr(target, name), lambda args: 1))
+            elif name.endswith("_batch") and not name.startswith("_"):
+                setattr(self, name, self._counted(getattr(target, name), lambda args: len(args[0])))
+
+    def _counted(self, method, points):
+        def counted(*args):
+            self.points += points(args)
+            return method(*args)
+
+        return counted
+
+    def __getattr__(self, name):
+        return getattr(self._target, name)
+
+
+class TestResidualsBatch:
+    """`residuals_batch` is the batch form of `residuals`, and the optimizer's
+    Levenberg-Marquardt reaches the residuals only through it or, where a
+    stencil point fails, through `residuals`."""
+
+    def test_loop_and_vectorized_paths_agree(self):
+        thetas = np.random.default_rng(8).uniform(-1.0, 12.0, size=(400, 2))
+        r, failed = edge_regression(batch=True).residuals_batch(thetas)
+        looped = edge_regression(batch=False)
+        r_loop, failed_loop = looped.residuals_batch(thetas)
+        np.testing.assert_array_equal(failed, thetas[:, 0] > 5.5)
+        np.testing.assert_array_equal(failed_loop, failed)
+        assert np.isnan(r[failed]).all() and np.isnan(r_loop[failed]).all()
+        np.testing.assert_allclose(r[~failed], r_loop[~failed], rtol=1e-13)
+        for theta, row in zip(thetas[~failed], r_loop[~failed]):
+            assert row.tobytes() == looped.residuals(theta).tobytes()
+
+    def test_subclass_overriding_residuals_drives_the_optimizer(self):
+        shift = np.array([0.25, -0.5])
+
+        def residuals(self, theta):
+            if theta[1] > 9.0:
+                return np.full(8, np.inf)
+            return RegressionTarget.residuals(self, theta - shift)
+
+        base = RegressionTarget(REGRESSION.model, REGRESSION.data_z, REGRESSION.noise_sd,
+                                REGRESSION.prior_mean, REGRESSION.prior_sd)
+        shifted = type("Shifted", (RegressionTarget,), {"residuals": residuals})(
+            REGRESSION.model, REGRESSION.data_z, REGRESSION.noise_sd,
+            REGRESSION.prior_mean, REGRESSION.prior_sd,
+        )
+        assert type(shifted).residuals_batch is residuals_loop
+        thetas = np.array([[1.0, 2.0], [1.0, 9.5]])
+        r, failed = shifted.residuals_batch(thetas)
+        assert failed.tolist() == [False, True]
+        assert r[0].tobytes() == base.residuals(thetas[0] - shift).tobytes()
+        start = np.array([4.0, 3.0])
+        moved, fixed = minimize(shifted, start), minimize(base, start - shift)
+        np.testing.assert_allclose(moved.minimizer, fixed.minimizer + shift, rtol=1e-7)
+        assert moved.f_min == pytest.approx(fixed.f_min, rel=1e-9)
+
+    def test_a_counting_proxy_sees_every_point(self):
+        target = edge_regression(batch=True)
+        evaluated = {"point": 0, "batch": 0}
+        model, batch = target.model, target.model.batch
+
+        def counted_model(theta):
+            evaluated["point"] += 1
+            return model(theta)
+
+        def counted_batch(thetas):
+            evaluated["batch"] += len(thetas)
+            return batch(thetas)
+
+        counted_model.batch = counted_batch
+        target.model = counted_model
+        proxy = CountingProxy(target)
+        multistart(proxy, 12, np.random.default_rng(4))
+        # only Levenberg-Marquardt evaluates batches here, and the optimum
+        # lies past the model's edge, so stencils fall back to per-point
+        # residuals
+        assert evaluated["point"] > 0 and evaluated["batch"] > 0
+        assert proxy.points == evaluated["point"] + evaluated["batch"]
