@@ -72,6 +72,17 @@ def _section(name: str, types: dict, value, required=()) -> dict:
 _floats = partial(np.asarray, dtype=float)
 
 
+def _integer(value) -> int:
+    """A JSON integer, or a float with no fractional part.  A bool, a
+    string, a fractional or non-finite float is rejected rather than cut to
+    an int."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected an integer, found {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, found {value!r}")
+    return int(value)
+
+
 def _without(values: dict, *keys) -> dict:
     return {key: item for key, item in values.items() if key not in keys}
 
@@ -82,26 +93,29 @@ _CONFIG = {
     "target": str,
     "init": partial(_section, "init", {
         "mcmc": partial(_section, "init.mcmc",
-                        {"walkers": int, "steps": int, "keep": int, "a": float},
+                        {"walkers": _integer, "steps": _integer, "keep": _integer,
+                         "a": float},
                         required=("steps",)),
-        "gmm": partial(_section, "init.gmm", {"n_starts": int, "confidence": float},
+        "gmm": partial(_section, "init.gmm",
+                       {"n_starts": _integer, "confidence": float},
                        required=("n_starts",)),
         "file": str,
     }),
     "isa": partial(_section, "isa", {
-        "samples": int, "max_iterations": int, "tol": float, "inflation": float,
-        "family": str, "nu": float,
+        "samples": _integer, "max_iterations": _integer, "tol": float,
+        "inflation": float, "family": str, "nu": float,
     }),
     "opt": partial(_section, "opt", {
-        "rel_step": float, "f_tol": float, "grad_tol": float, "max_iter": int,
+        "rel_step": float, "f_tol": float, "grad_tol": float, "max_iter": _integer,
     }),
     "gaussian": partial(_section, "gaussian", {"mean": _floats, "covariance": _floats}),
     "regression": partial(_section, "regression", {
-        "n_theta": int, "n_z": int, "noise_sd": _floats, "prior_mean": _floats,
-        "prior_sd": _floats, "theta_ref": _floats, "data_seed": int,
+        "n_theta": _integer, "n_z": _integer, "noise_sd": _floats,
+        "prior_mean": _floats, "prior_sd": _floats, "theta_ref": _floats,
+        "data_seed": _integer,
     }, required=("n_theta", "n_z", "noise_sd", "prior_mean", "prior_sd", "theta_ref")),
-    "seed": int,
-    "workers": int,
+    "seed": _integer,
+    "workers": _integer,
     "output_dir": str,
 }
 

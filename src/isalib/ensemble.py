@@ -19,7 +19,7 @@ from .linalg import spd_repair, total, total_squares
 
 WEIGHT_SUM_TOL = 1e-12
 # rows formatted per write: bounds the text held in memory for a large ensemble
-CSV_BLOCK_ROWS = 4096
+CSV_BLOCK_ROWS = 1024
 
 
 def self_normalize(log_weights_raw) -> np.ndarray:

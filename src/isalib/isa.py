@@ -33,6 +33,11 @@ SATURATION_FRACTION = 0.5
 # times per run: the simplest defensive proposal (Hesterberg 1995)
 WIDEN_FACTOR = 4.0
 MAX_WIDENINGS = 3
+# rows per target and proposal evaluation: a step's temporaries (model
+# predictions, residuals, whitened deviations) are O(EVAL_BLOCK_ROWS) rows
+# wide instead of O(N); the blocks never depend on the worker count, and
+# every batch gives a row the same value however the draw is split
+EVAL_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -51,13 +56,14 @@ class IsaConfig:
         if self.max_iterations < 1:
             raise DomainError("max_iterations must be >= 1")
         # tol == 0 is allowed for forcing a full max_iterations run
-        if self.tol < 0.0:
+        # written so that NaN fails each check
+        if not self.tol >= 0.0:
             raise DomainError("tol must be >= 0")
-        if self.inflation < 1.0:
+        if not self.inflation >= 1.0:
             raise DomainError("inflation must be >= 1")
         if self.family not in FAMILIES:
             raise DomainError(f"family must be one of {FAMILIES}")
-        if self.family == "student_t" and self.nu <= 2.0:
+        if self.family == "student_t" and not self.nu > 2.0:
             raise DomainError("student_t family needs nu > 2")
 
     def to_dict(self) -> dict:
@@ -139,15 +145,21 @@ def isa_step(
     """One importance-sampling pass: draw n_e samples from the proposal and
     self-normalize the weights log p(theta|z) - log q(theta).
 
-    Failed target evaluations get log-weight -inf; raises AllWeightsZero if
-    every sample fails.
+    The draw is one `proposal.sample` call; its rows are then weighed in
+    blocks of EVAL_BLOCK_ROWS, one target and one proposal batch per block,
+    so the weights equal those of a single batch bitwise.  Failed target
+    evaluations get log-weight -inf; raises AllWeightsZero if every sample
+    fails.
     """
     if target.dimension != proposal.dimension:
         raise DomainError("target and proposal dimensions disagree")
     thetas = proposal.sample(rng, n_e)
-    log_p, failed = parallel_map_density(target, thetas)
-    log_q = proposal.log_density_batch(thetas)
-    log_w = np.where(failed, -np.inf, log_p - log_q)
+    log_w = np.empty(len(thetas))
+    for start in range(0, len(thetas), EVAL_BLOCK_ROWS):
+        block = thetas[start : start + EVAL_BLOCK_ROWS]
+        log_p, failed = parallel_map_density(target, block)
+        log_q = proposal.log_density_batch(block)
+        log_w[start : start + len(block)] = np.where(failed, -np.inf, log_p - log_q)
     weights = self_normalize(log_w)
     ensemble = WeightedEnsemble(thetas, log_w, weights)
     return ensemble, estimate_r(weights)
@@ -176,7 +188,8 @@ def isa_run(
     initial ensemble, a draw whose weights are all zero, or a failed refit
     once MAX_WIDENINGS are used; a draw whose weights are all zero is kept
     as `all_failed_draw`.  `workers` is accepted for compatibility
-    and ignored: each draw is evaluated as one batch.
+    and ignored: each draw is evaluated in the fixed row blocks of
+    `isa_step`, in one process.
     """
     rng = rng or np.random.Generator(np.random.Philox(config.seed))
     records: list[IterationRecord] = []

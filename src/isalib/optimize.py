@@ -51,14 +51,18 @@ class OptimizationResult:
 
 
 def repair_spd_eig(matrix: np.ndarray) -> np.ndarray:
-    """Eigenvalue-clipping SPD repair; always yields a positive definite
-    matrix (used for Hessian approximations serving as covariance inverses)."""
-    a = 0.5 * (matrix + matrix.T)
+    """Eigenvalue-clipping SPD repair of a matrix or of each matrix in a
+    (..., n, n) stack, each with its own floor; always yields positive
+    definite matrices (used for Hessian approximations serving as
+    covariance inverses).  A matrix's result is the same alone as in a
+    stack."""
+    a = np.asarray(matrix, dtype=float)
+    a = 0.5 * (a + a.swapaxes(-1, -2))
     vals, vecs = np.linalg.eigh(a)
-    floor = 1e-8 * max(float(np.abs(vals).max()), 1.0)
-    vals = np.maximum(vals, floor)
-    repaired = (vecs * vals) @ vecs.T
-    return 0.5 * (repaired + repaired.T)
+    floor = 1e-8 * np.maximum(np.abs(vals).max(axis=-1), 1.0)
+    vals = np.maximum(vals, floor[..., None])
+    repaired = (vecs * vals[..., None, :]) @ vecs.swapaxes(-1, -2)
+    return 0.5 * (repaired + repaired.swapaxes(-1, -2))
 
 
 def _central_differences(f, theta, rel_step):
@@ -133,12 +137,15 @@ def fd_hessian(f, theta, rel_step: float = 1e-5) -> np.ndarray:
 def gauss_newton_hessian(
     residual_jacobian: np.ndarray, prior_precision: np.ndarray
 ) -> np.ndarray:
-    """H = J^T J + prior_precision, SPD-repaired.  The residuals are
-    whitened and F carries the 1/2 convention, so no extra factor 2."""
+    """H = J^T J + prior_precision, SPD-repaired, for one Jacobian or a
+    (..., m, n) stack of them.  The residuals are whitened and F carries the
+    1/2 convention, so no extra factor 2."""
     j = np.asarray(residual_jacobian, dtype=float)
     if not np.all(np.isfinite(j)):
         raise DomainError("residual Jacobian must be finite")
-    return repair_spd_eig(j.T @ j + np.asarray(prior_precision, dtype=float))
+    return repair_spd_eig(
+        j.swapaxes(-1, -2) @ j + np.asarray(prior_precision, dtype=float)
+    )
 
 
 def _fd_jacobian(residuals, theta, rel_step):
@@ -239,14 +246,14 @@ def _minimize_lm(target, starts, settings):
         active = active[~converged]
     live = np.flatnonzero(~start_failed)
     jt, ok = _stencil_jacobians(target, theta[live], settings.rel_step)
+    # one stacked repair; a start without a Jacobian keeps the identity.  The
+    # prior rows are part of the whitened residuals, so J holds them
+    hessians = np.tile(np.eye(n), (live.size, 1, 1))
+    hessians[ok] = gauss_newton_hessian(jt[ok].swapaxes(1, 2), np.zeros((n, n)))
     results = [_failed(start) for start in np.asarray(starts, dtype=float)]
     for k, i in enumerate(live):
-        # the prior rows are part of the whitened residuals, so J holds them
-        hessian = (
-            gauss_newton_hessian(jt[k].T, np.zeros((n, n))) if ok[k] else np.eye(n)
-        )
         results[i] = OptimizationResult(
-            theta[i].copy(), float(f[i]), hessian, status[i], int(n_iter[i]),
+            theta[i].copy(), float(f[i]), hessians[k], status[i], int(n_iter[i]),
             tuple(history[i]),
         )
     return results

@@ -95,7 +95,9 @@ class GaussianProposal(_Proposal):
 
     def _transform(self, z: np.ndarray) -> np.ndarray:
         """Map standard-normal rows z to draws from this proposal."""
-        return self.mean + z @ self.chol.T
+        out = z @ self.chol.T
+        out += self.mean
+        return out
 
     def widened(self, factor: float) -> "GaussianProposal":
         """The same proposal with its covariance multiplied by `factor`."""
@@ -144,7 +146,14 @@ class StudentTProposal(_Proposal):
     def _draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
         z = rng.standard_normal((count, self.dimension))
         g = rng.chisquare(self.nu, size=count)
-        return self.location + (z @ self.chol.T) * np.sqrt(self.nu / g)[:, None]
+        # location + (z L^T) * sqrt(nu / g), in place: a draw holds z, the
+        # samples and g, and no temporary of the samples' size
+        out = z @ self.chol.T
+        np.divide(self.nu, g, out=g)
+        np.sqrt(g, out=g)
+        out *= g[:, None]
+        out += self.location
+        return out
 
     def widened(self, factor: float) -> "StudentTProposal":
         """The same proposal with its scale matrix multiplied by `factor`."""

@@ -45,12 +45,14 @@ class TargetDensity:
     outside support), `residuals(theta)` for least-squares structure, and
     `sample_prior(rng, n)` used by initializers.
 
-    Importance sampling evaluates a whole draw at once through
-    `log_density_batch(thetas) -> (values, failed)`: a float array and a
-    boolean mask, with `-inf` in every failed row.  The default loops over
-    `log_density`; a target may override it with a vectorized version that
-    agrees with the per-point path up to rounding and gives each row the
-    same result however the batch is split.  The built-in targets do.
+    Importance sampling evaluates a draw in fixed row blocks
+    (`isa.EVAL_BLOCK_ROWS`) through `log_density_batch(thetas) -> (values,
+    failed)`: a float array and a boolean mask, with `-inf` in every failed
+    row.  The default loops over `log_density`; a target may override it
+    with a vectorized version that agrees with the per-point path up to
+    rounding and gives each row the same result however the batch is
+    split, so the blocks do not change the weights.  The built-in targets
+    do.
     Least-squares targets have the same pair for their residuals:
     `residuals_batch(thetas) -> (r, failed)`, an (n, m) array with NaN in
     every failed row and the mask; the optimizer's Levenberg-Marquardt

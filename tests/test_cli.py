@@ -181,6 +181,43 @@ class TestRunConfig:
         assert_one_line_error(capsys.readouterr().err, where)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "overrides, where",
+        [
+            ({"isa": {"samples": 100.5}}, "malformed isa.samples"),
+            ({"isa": {"samples": True}}, "malformed isa.samples"),
+            ({"isa": {"samples": "100"}}, "malformed isa.samples"),
+            ({"isa": {"samples": 50, "max_iterations": False}},
+             "malformed isa.max_iterations"),
+            ({"init": {"mcmc": {"walkers": 4, "steps": 5.5, "keep": 20}}},
+             "malformed init.mcmc.steps"),
+            ({"seed": "5"}, "malformed config.seed"),
+            ({"workers": 1.5}, "malformed config.workers"),
+            ({"target": "regression", "regression": {**REGRESSION, "n_z": 8.25}},
+             "malformed regression.n_z"),
+            ({"isa": {"samples": 50, "tol": float("nan")}}, "tol must be >= 0"),
+            ({"isa": {"samples": 50, "inflation": float("nan")}}, "inflation must be >= 1"),
+            ({"isa": {"samples": 50, "family": "student_t", "nu": float("nan")}},
+             "nu > 2"),
+        ],
+        ids=["samples-fraction", "samples-bool", "samples-string", "max-iterations-bool",
+             "steps-fraction", "seed-string", "workers-fraction", "n-z-fraction",
+             "tol-nan", "inflation-nan", "nu-nan"],
+    )
+    def test_malformed_number_clean_error(self, tmp_path, capsys, overrides, where):
+        # json writes and reads float("nan") as NaN
+        path = write_config(tmp_path, toy_run_config(tmp_path, **overrides))
+        assert main(["run", "--config", path]) == EXIT_ERROR
+        assert_one_line_error(capsys.readouterr().err, where)
+        assert not (tmp_path / "out").exists()
+
+    def test_integral_float_is_an_integer(self, tmp_path):
+        data = toy_run_config(tmp_path, seed=2001.0)
+        data["isa"]["samples"] = 5e3
+        config = RunConfig.from_dict(json.loads(json.dumps(data)))
+        assert build_isa_config(config).samples_per_iteration == 5000
+        assert config.seed == 2001 and isinstance(config.seed, int)
+
     def test_baseline_steps_below_the_iact_minimum_clean_error(self, tmp_path, capsys):
         # checked before the chain runs, so no chain.csv is left behind
         data = toy_run_config(tmp_path, init={"mcmc": {"walkers": 4, "steps": 50}})

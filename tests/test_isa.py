@@ -1,10 +1,13 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import isalib.isa
 from isalib import (
     DomainError,
+    GaussianMixtureProposal,
     GaussianProposal,
     GaussianTarget,
     IsaConfig,
@@ -14,12 +17,14 @@ from isalib import (
     gaussian_mismatch_r,
     isa_run,
     isa_step,
+    make_synthetic_regression,
     mcmc_init_ensemble,
     stretch_move_run,
     weighted_covariance,
     weighted_mean,
 )
 from isalib.isa import (
+    EVAL_BLOCK_ROWS,
     MAX_WIDENINGS,
     SATURATION_FRACTION,
     WIDEN_FACTOR,
@@ -51,6 +56,9 @@ class TestConfig:
             {"samples_per_iteration": 100, "inflation": 0.5},
             {"samples_per_iteration": 100, "family": "cauchy"},
             {"samples_per_iteration": 100, "family": "student_t", "nu": 2.0},
+            {"samples_per_iteration": 100, "tol": float("nan")},
+            {"samples_per_iteration": 100, "inflation": float("nan")},
+            {"samples_per_iteration": 100, "family": "student_t", "nu": float("nan")},
         ],
     )
     def test_validation(self, kwargs):
@@ -110,6 +118,116 @@ class TestIsaStep:
         ens, _ = isa_step(Toy2DTarget(), prop, 500, rng_for(4))
         assert calls == []
         assert np.any(ens.weights == 0.0)
+
+
+def families(center, scale):
+    """A proposal of each family around `center`, with spread `scale`."""
+    cov = scale * np.eye(center.size)
+    return {
+        "gaussian": GaussianProposal(center, cov),
+        "student_t": StudentTProposal(center, cov, nu=3.0),
+        "mixture": GaussianMixtureProposal(
+            (GaussianProposal(center, cov), GaussianProposal(center + 0.5, 2.0 * cov)),
+            np.array([0.4, 0.6]),
+        ),
+    }
+
+
+# each built-in target and the centre and spread of its proposals; the toy
+# proposals reach past the support cube, so some rows fail
+BLOCK_TARGETS = {
+    "toy2d": (Toy2DTarget, np.array([5.0, 5.0]), 9.0),
+    "gaussian": (
+        lambda: GaussianTarget(np.array([1.0, -1.0, 0.5]), np.diag([1.0, 2.0, 0.5])),
+        np.zeros(3), 2.0,
+    ),
+    "regression": (
+        lambda: make_synthetic_regression(
+            3, 8, 0.1, np.zeros(3), np.full(3, 3.0), [1.0, -0.5, 0.8], data_seed=11
+        ),
+        np.array([1.0, -0.5, 0.8]), 0.01,
+    ),
+}
+
+
+def step_bytes(target, proposal, n, seed):
+    """The bytes of the samples, raw log-weights and weights of one step,
+    and its QualityReport."""
+    ens, report = isa_step(target, proposal, n, rng_for(seed))
+    arrays = (ens.samples, ens.log_weights_raw, ens.weights)
+    return tuple(a.tobytes() for a in arrays), report
+
+
+class TestEvalBlocks:
+    """A draw is weighed in blocks of EVAL_BLOCK_ROWS rows; any block size
+    gives the ensemble of one whole-draw batch, bitwise."""
+
+    # 20,001 rows end in a partial block at the default size and at 7
+    N = 20_001
+
+    @pytest.mark.parametrize("family", ["gaussian", "student_t", "mixture"])
+    @pytest.mark.parametrize("name", sorted(BLOCK_TARGETS))
+    def test_block_size_does_not_change_the_ensemble(self, monkeypatch, name, family):
+        make, center, scale = BLOCK_TARGETS[name]
+        target, proposal = make(), families(center, scale)[family]
+        default = step_bytes(target, proposal, self.N, 21)
+        # one row per block costs about 1 s per case at N rows, so it runs
+        # on a draw of 1,001 rows (one block at the default size)
+        small = step_bytes(target, proposal, 1001, 22)
+        for rows in (7, self.N, self.N + 5):
+            monkeypatch.setattr(isalib.isa, "EVAL_BLOCK_ROWS", rows)
+            assert step_bytes(target, proposal, self.N, 21) == default
+        monkeypatch.setattr(isalib.isa, "EVAL_BLOCK_ROWS", 1)
+        assert step_bytes(target, proposal, 1001, 22) == small
+
+    def test_nan_rows_in_the_last_block_fail(self, monkeypatch):
+        proposal = GaussianProposal(np.zeros(2), np.eye(2))
+        last = self.N // EVAL_BLOCK_ROWS * EVAL_BLOCK_ROWS
+        bad_rows = [last, last + 1, self.N - 2, self.N - 1]
+        bad = proposal.sample(rng_for(23), self.N)[bad_rows, 0]
+
+        class NanRows(GaussianTarget):
+            def log_density_batch(self, thetas):
+                values, failed = super().log_density_batch(thetas)
+                return np.where(np.isin(thetas[:, 0], bad), np.nan, values), failed
+
+        target = NanRows(np.zeros(2), np.eye(2))
+        ens, _ = isa_step(target, proposal, self.N, rng_for(23))
+        assert np.flatnonzero(np.isneginf(ens.log_weights_raw)).tolist() == bad_rows
+        assert np.all(ens.weights[bad_rows] == 0.0)
+        default = step_bytes(target, proposal, self.N, 23)
+        for rows in (7, self.N):
+            monkeypatch.setattr(isalib.isa, "EVAL_BLOCK_ROWS", rows)
+            assert step_bytes(target, proposal, self.N, 23) == default
+
+
+def test_step_memory_is_bounded_by_the_block():
+    # a tall regression: at the default block size one step's traced peak
+    # stays under the bound (14.5 MB measured), where weighing the whole
+    # draw in one batch peaked at 65.8 MB
+    n, n_theta, n_z = 20_000, 5, 200
+    target = make_synthetic_regression(
+        n_theta, n_z, 0.1, np.zeros(n_theta), np.full(n_theta, 3.0),
+        np.linspace(-1.0, 1.0, n_theta), data_seed=3,
+    )
+    proposal = StudentTProposal(np.zeros(n_theta), 0.1 * np.eye(n_theta), nu=3.0)
+    isa_step(target, proposal, 100, rng_for(24))  # first-call set-up
+    # the model's predictions and the residuals are block-sized; the
+    # samples, log-weights and weights scale with the draw
+    bound = 3 * EVAL_BLOCK_ROWS * (n_z + n_theta) * 8 + 8 * n * (n_theta + 1) * 8
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        ensemble, _ = isa_step(target, proposal, n, rng_for(25))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert ensemble.n == n
+    assert peak < bound, f"traced peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
 
 
 class TestParallelMapDensity:

@@ -213,6 +213,46 @@ class TestRepairSpd:
         np.linalg.cholesky(repaired)
 
 
+def reference_repair(matrix):
+    """`repair_spd_eig` for one matrix as it stood before it took stacks
+    (bitwise reference)."""
+    a = 0.5 * (matrix + matrix.T)
+    vals, vecs = np.linalg.eigh(a)
+    floor = 1e-8 * max(float(np.abs(vals).max()), 1.0)
+    vals = np.maximum(vals, floor)
+    repaired = (vecs * vals) @ vecs.T
+    return 0.5 * (repaired + repaired.T)
+
+
+class TestStackedRepair:
+    """One call repairs a stack; each matrix's result is the one it gets
+    alone, with its own eigenvalue floor."""
+
+    def test_stacked_gauss_newton_equals_each_alone(self):
+        zeros = np.zeros((5, 5))
+        for seed in range(20):
+            jacs = np.random.default_rng(seed).normal(size=(50, 17, 5))
+            stacked = gauss_newton_hessian(jacs, zeros)
+            for jac, hess in zip(jacs, stacked):
+                assert hess.tobytes() == reference_repair(jac.T @ jac + zeros).tobytes()
+                assert hess.tobytes() == gauss_newton_hessian(jac, zeros).tobytes()
+
+    def test_each_matrix_keeps_its_own_floor(self):
+        rng = np.random.default_rng(5)
+        q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        stack = np.stack([
+            (q * [1e6, 2.0, -3.0]) @ q.T,  # clipped at 1e-2
+            np.diag([1.0, -5.0, 0.5]),  # clipped at 1e-8 * 5
+            np.zeros((3, 3)),
+            rng.normal(size=(3, 3)),
+        ])
+        repaired = repair_spd_eig(stack)
+        for matrix, fixed in zip(stack, repaired):
+            assert fixed.tobytes() == reference_repair(matrix).tobytes()
+            np.linalg.cholesky(fixed)
+        assert np.linalg.eigvalsh(repaired[1]).min() == pytest.approx(5e-8)
+
+
 class TestGaussNewton:
     def test_linear_model_exact(self):
         # r(theta) = A theta - b  =>  H = A^T A + P exactly

@@ -152,6 +152,50 @@ class TestMixture:
             proposal_from_dict(data)
 
 
+def reference_draw(proposal, rng, count):
+    """The draws as they were written before they drew in place (bitwise
+    reference)."""
+
+    def transform(comp, z):
+        return comp.mean + z @ comp.chol.T
+
+    d = proposal.dimension
+    if isinstance(proposal, GaussianProposal):
+        return transform(proposal, rng.standard_normal((count, d)))
+    if isinstance(proposal, StudentTProposal):
+        z = rng.standard_normal((count, d))
+        g = rng.chisquare(proposal.nu, size=count)
+        return proposal.location + (z @ proposal.chol.T) * np.sqrt(proposal.nu / g)[:, None]
+    edges = np.cumsum(proposal.psi)
+    idx = np.searchsorted(edges, rng.random(count), side="right")
+    idx = np.minimum(idx, len(proposal.components) - 1)
+    z = rng.standard_normal((count, d))
+    out = np.empty((count, d))
+    for j, comp in enumerate(proposal.components):
+        mask = idx == j
+        if mask.any():
+            out[mask] = transform(comp, z[mask])
+    return out
+
+
+class TestDrawInPlace:
+    @THREE_FAMILIES
+    @pytest.mark.parametrize("count", [1, 7, 5001])
+    def test_draw_equals_the_reference(self, proposal, count):
+        for seed in range(3):
+            ours = proposal.sample(rng_for(seed), count)
+            assert ours.tobytes() == reference_draw(proposal, rng_for(seed), count).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 5])
+    def test_one_and_five_dimensional_draws_equal_the_reference(self, d):
+        rng = rng_for(40 + d)
+        scale = random_spd(rng, d)
+        loc = rng.standard_normal(d)
+        for proposal in (GaussianProposal(loc, scale), StudentTProposal(loc, scale, 3.5)):
+            ours = proposal.sample(rng_for(d), 2000)
+            assert ours.tobytes() == reference_draw(proposal, rng_for(d), 2000).tobytes()
+
+
 class TestWidened:
     @THREE_FAMILIES
     def test_spread_scaled_center_kept(self, proposal):
