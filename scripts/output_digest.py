@@ -33,8 +33,9 @@ def corpus():
     for seed in range(5, 17):
         runs += [("run", "regression_student_t", seed),
                  ("init-gmm", "regression_student_t", seed)]
-    for seed in range(7, 10):
-        runs += [("run", "toy2d_gmm", seed), ("init-gmm", "toy2d_gmm", seed)]
+    runs += [("run", "toy2d_gmm", seed) for seed in range(7, 10)]
+    # every toy2d_gmm init is a BFGS multistart (toy2d has no residuals)
+    runs += [("init-gmm", "toy2d_gmm", seed) for seed in range(20)]
     runs += [("init-mcmc", "toy2d_mcmc", 3), ("mcmc-baseline", "toy2d_baseline", 9)]
     runs += [("run", "gaussian_mcmc", seed) for seed in range(11, 15)]
     runs += [("init-mcmc", "gaussian_mcmc", 11)]

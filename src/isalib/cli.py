@@ -64,12 +64,21 @@ def _section(name: str, types: dict, value, required=()) -> dict:
     for key, item in value.items():
         try:
             values[key] = types[key](item)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed {name}.{key}: {exc}") from exc
     return values
 
 
-_floats = partial(np.asarray, dtype=float)
+def _real(value) -> float:
+    """A JSON number as a float.  A bool or a string is rejected rather than
+    read as a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, found {value!r}")
+    return float(value)
+
+
+# vectorize hands `_real` each entry as read, so a bool or string in a list fails
+_floats = np.vectorize(_real, otypes=[float])
 
 
 def _integer(value) -> int:
@@ -94,19 +103,19 @@ _CONFIG = {
     "init": partial(_section, "init", {
         "mcmc": partial(_section, "init.mcmc",
                         {"walkers": _integer, "steps": _integer, "keep": _integer,
-                         "a": float},
+                         "a": _real},
                         required=("steps",)),
         "gmm": partial(_section, "init.gmm",
-                       {"n_starts": _integer, "confidence": float},
+                       {"n_starts": _integer, "confidence": _real},
                        required=("n_starts",)),
         "file": str,
     }),
     "isa": partial(_section, "isa", {
-        "samples": _integer, "max_iterations": _integer, "tol": float,
-        "inflation": float, "family": str, "nu": float,
+        "samples": _integer, "max_iterations": _integer, "tol": _real,
+        "inflation": _real, "family": str, "nu": _real,
     }),
     "opt": partial(_section, "opt", {
-        "rel_step": float, "f_tol": float, "grad_tol": float, "max_iter": _integer,
+        "rel_step": _real, "f_tol": _real, "grad_tol": _real, "max_iter": _integer,
     }),
     "gaussian": partial(_section, "gaussian", {"mean": _floats, "covariance": _floats}),
     "regression": partial(_section, "regression", {

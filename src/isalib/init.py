@@ -262,9 +262,9 @@ def multistart(
     rng: np.random.Generator,
     settings: OptSettings | None = None,
 ) -> list[OptimizationResult]:
-    """`minimize_all` from n_starts prior draws: Levenberg-Marquardt runs
-    every start in lockstep, BFGS one start after the other.  Failed results
-    are kept (they are data for reporting) but carry FAILED status."""
+    """`minimize_all` from n_starts prior draws, all the starts in lockstep.
+    Failed results are kept (they are data for reporting) but carry FAILED
+    status."""
     if n_starts < 1:
         raise DomainError("n_starts must be >= 1")
     return minimize_all(target, target.sample_prior(rng, n_starts), settings)

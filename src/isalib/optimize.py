@@ -1,12 +1,12 @@
 """Minimization of the negative log-posterior F for mixture initialization.
 
-Targets exposing least-squares structure (`residuals` and its batch form
-`residuals_batch`) are minimized with damped Gauss-Newton
-(Levenberg-Marquardt), all the starts of a multistart in lockstep;
-everything else falls back to BFGS with finite-difference gradients.
-Accepted steps strictly decrease F.
-A value fails when `targets.is_failure` says so (a Failure, NaN or +-inf);
-failed trial steps are rejected and stencils fall back to one side.
+Targets exposing least-squares structure (`residuals_batch`) are minimized
+with damped Gauss-Newton (Levenberg-Marquardt), everything else with BFGS
+on F from `log_density_batch`.  Both move all the starts of a multistart in
+lockstep, one batch call per stage, and take their finite differences from
+one stencil builder.  Accepted steps strictly decrease F.  A value fails
+when its batch marks it or it is not finite; failed trial steps are
+rejected and stencils fall back to one side.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -65,73 +66,93 @@ def repair_spd_eig(matrix: np.ndarray) -> np.ndarray:
     return 0.5 * (repaired + repaired.swapaxes(-1, -2))
 
 
-def _central_differences(f, theta, rel_step):
-    """One difference quotient of f per coordinate j: central with step
-    h_j = rel_step * (1 + |theta_j|), or one-sided around theta where one
-    side's value is a failure (`is_failure`).  f may return a scalar or a
-    vector.  Raises EvaluationFailed if both sides fail, or if a one-sided
-    quotient is needed and f fails at theta."""
-    theta = np.asarray(theta, dtype=float)
-    f0 = None
-    quotients = []
-    for j in range(theta.size):
-        h = rel_step * (1.0 + abs(theta[j]))
-        up = theta.copy()
-        up[j] += h
-        dn = theta.copy()
-        dn[j] -= h
-        f_up, f_dn = f(up), f(dn)
-        if not is_failure(f_up) and not is_failure(f_dn):
-            quotients.append((np.asarray(f_up) - np.asarray(f_dn)) / (2.0 * h))
-            continue
-        if f0 is None:
-            f0 = f(theta)
-            if is_failure(f0):
-                raise EvaluationFailed("f failed at the expansion point")
-            f0 = np.asarray(f0)
-        if not is_failure(f_up):
-            quotients.append((np.asarray(f_up) - f0) / h)
-        elif not is_failure(f_dn):
-            quotients.append((f0 - np.asarray(f_dn)) / h)
-        else:
-            raise EvaluationFailed(f"both one-sided stencils failed for coordinate {j}")
-    return quotients
+def _axis_offsets(n):
+    """The 2n unit offsets of a central difference: +e_j, -e_j for each j."""
+    return np.stack([np.eye(n), -np.eye(n)], axis=1).reshape(2 * n, n)
+
+
+def _stencils(evaluate, thetas, rel_step, offsets):
+    """One `evaluate(points) -> (values, failed)` call over each row of
+    `thetas` (S, n) plus each unit offset (P, n) times the row's steps
+    h = rel_step * (1 + |theta|): the values (S, P, ...), failed (S, P), h."""
+    h = rel_step * (1.0 + np.abs(thetas))
+    points = thetas[:, None, :] + offsets * h[:, None, :]
+    values, failed = evaluate(points.reshape(-1, thetas.shape[1]))
+    shape = (len(thetas), len(offsets))
+    return values.reshape(shape + values.shape[1:]), failed.reshape(shape), h
+
+
+def _derivatives(evaluate, thetas, centre, rel_step):
+    """First difference quotients (S, n, ...) of a scalar or vector
+    `evaluate` at every row of `thetas`, from one `_stencils` call over 2n
+    axis points per row: central, or one-sided against the row's value in
+    `centre` where a side failed; and a mask of the rows with no coordinate
+    failed on both sides."""
+    values, failed, h = _stencils(evaluate, thetas, rel_step, _axis_offsets(thetas.shape[1]))
+    step = h.reshape(h.shape + (1,) * (values.ndim - 2))  # broadcasts over a vector's entries
+    up, dn, centre = values[:, 0::2], values[:, 1::2], centre[:, None]
+    up_failed, dn_failed = failed[:, 0::2], failed[:, 1::2]
+    quotients = (up - dn) / (2.0 * step)
+    quotients = np.where(up_failed.reshape(step.shape), (centre - dn) / step, quotients)
+    quotients = np.where(dn_failed.reshape(step.shape), (up - centre) / step, quotients)
+    return quotients, ~(up_failed & dn_failed).any(axis=1)
+
+
+def _hessians(evaluate, thetas, centre, rel_step):
+    """Second-difference Hessians (S, n, n) of a scalar `evaluate` at every
+    row of `thetas` (value `centre`), from one `_stencils` call over 2n^2
+    points per row, and a mask of the rows where no point failed."""
+    s, n = thetas.shape
+    unit = _axis_offsets(n).reshape(n, 2, n)
+    i, j = np.triu_indices(n, 1)
+    # +e_i+e_j, +e_i-e_j, -e_i+e_j and -e_i-e_j for each pair i < j
+    pairs = unit[i][:, :, None] + unit[j][:, None, :]
+    offsets = np.concatenate([unit.reshape(-1, n), pairs.reshape(-1, n)])
+    values, failed, h = _stencils(evaluate, thetas, rel_step, offsets)
+    hess = np.empty((s, n, n))
+    diag = np.arange(n)
+    sides = values[:, : 2 * n].reshape(s, n, 2)
+    hess[:, diag, diag] = (sides[..., 0] - 2.0 * centre[:, None] + sides[..., 1]) / h**2
+    cross = values[:, 2 * n :].reshape(s, i.size, 4)
+    hess[:, i, j] = hess[:, j, i] = (
+        cross[..., 0] - cross[..., 1] - cross[..., 2] + cross[..., 3]
+    ) / (4.0 * h[:, i] * h[:, j])
+    return hess, ~failed.any(axis=1)
+
+
+def _pointwise(f, theta):
+    """An `evaluate` over a scalar f, one call per point with NaN where
+    `is_failure`; theta as a one-row batch; that batch's values and mask."""
+
+    def evaluate(points):
+        values = np.array([math.nan if is_failure(v) else v for v in map(f, points)], float)
+        return values, np.isnan(values)
+
+    thetas = np.asarray(theta, dtype=float)[None, :]
+    return evaluate, thetas, *evaluate(thetas)
 
 
 def finite_diff_gradient(f, theta, rel_step: float = 1e-6) -> np.ndarray:
-    """Gradient of a scalar f by `_central_differences`."""
-    return np.array(_central_differences(f, theta, rel_step), dtype=float)
+    """Gradient of a scalar f at one point by `_derivatives`.  Raises
+    EvaluationFailed if both sides of a coordinate fail, or if a one-sided
+    quotient is needed and f fails at theta."""
+    evaluate, thetas, centre, _ = _pointwise(f, theta)
+    grad, ok = _derivatives(evaluate, thetas, centre, rel_step)
+    if np.isnan(grad).any():  # only a failed value makes a quotient NaN
+        raise EvaluationFailed("f failed at the expansion point" if ok[0]
+                               else "both one-sided stencils failed for a coordinate")
+    return grad[0]
 
 
 def fd_hessian(f, theta, rel_step: float = 1e-5) -> np.ndarray:
-    """Symmetrized central second differences, SPD-repaired so the result can
-    serve as a covariance inverse."""
-    theta = np.asarray(theta, dtype=float)
-    n = theta.size
-    h = rel_step * (1.0 + np.abs(theta))
-
-    def ev(point):
-        val = f(point)
-        if is_failure(val):
-            raise EvaluationFailed("stencil point evaluation failed")
-        return float(val)
-
-    f0 = ev(theta)
-    hess = np.empty((n, n))
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h[i]
-        hess[i, i] = (ev(theta + ei) - 2.0 * f0 + ev(theta - ei)) / h[i] ** 2
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = h[j]
-            hess[i, j] = hess[j, i] = (
-                ev(theta + ei + ej)
-                - ev(theta + ei - ej)
-                - ev(theta - ei + ej)
-                + ev(theta - ei - ej)
-            ) / (4.0 * h[i] * h[j])
-    return repair_spd_eig(hess)
+    """Symmetrized central second differences of a scalar f at one point by
+    `_hessians`, SPD-repaired so the result can serve as a covariance
+    inverse.  Raises EvaluationFailed if f fails at any stencil point."""
+    evaluate, thetas, centre, centre_failed = _pointwise(f, theta)
+    hess, ok = _hessians(evaluate, thetas, centre, rel_step)
+    if centre_failed[0] or not ok[0]:
+        raise EvaluationFailed("stencil point evaluation failed")
+    return repair_spd_eig(hess[0])
 
 
 def gauss_newton_hessian(
@@ -148,36 +169,12 @@ def gauss_newton_hessian(
     )
 
 
-def _fd_jacobian(residuals, theta, rel_step):
-    """Jacobian of a residual vector by `_central_differences`, one column
-    per coordinate."""
-    return np.column_stack(_central_differences(residuals, theta, rel_step))
-
-
-def _stencil_jacobians(target, thetas, rel_step):
-    """Transposed residual Jacobians (S, n, m) of the rows of `thetas` by
-    central differences, from one `residuals_batch` call over the 2n
-    stencil points of every row, and a mask of the rows that have one.  A
-    row with a failed stencil point is redone by `_fd_jacobian` (one-sided
-    where a side fails); if that raises EvaluationFailed, the row has none."""
-    s, n = thetas.shape
-    h = rel_step * (1.0 + np.abs(thetas))
-    diag = np.arange(n)
-    up = np.repeat(thetas[:, None, :], n, axis=1)  # (S, n, n), row j moves theta_j
-    dn = up.copy()
-    up[:, diag, diag] += h
-    dn[:, diag, diag] -= h
-    r, failed = target.residuals_batch(np.stack([up, dn], axis=2).reshape(-1, n))
-    r = r.reshape(s, n, 2, r.shape[1])
-    jt = (r[:, :, 0] - r[:, :, 1]) / (2.0 * h)[:, :, None]
-    ok = ~failed.reshape(s, 2 * n).any(axis=1)
-    for i in np.flatnonzero(~ok):
-        try:
-            jt[i] = _fd_jacobian(target.residuals, thetas[i], rel_step).T
-            ok[i] = True
-        except EvaluationFailed:
-            pass
-    return jt, ok
+def _neg_log_posterior_batch(target, thetas):
+    """F of every row of `thetas` from one `log_density_batch` call, and the
+    failed mask; a failed or non-finite row holds NaN."""
+    values, failed = target.log_density_batch(thetas)
+    failed = np.asarray(failed, dtype=bool) | ~np.isfinite(values)
+    return np.where(failed, math.nan, -np.asarray(values, dtype=float)), failed
 
 
 def _norms_sq(x):
@@ -185,17 +182,26 @@ def _norms_sq(x):
     return np.einsum("ij,ij->i", x, x)
 
 
-def _minimize_lm(target, starts, settings):
-    """Levenberg-Marquardt from every row of `starts` in lockstep.
+def _results(starts, live, theta, f, hessians, status, n_iter, history):
+    """One result per start: the rows `live` from the lockstep state, the
+    k-th with hessians[k]; a FAILED result for the rest."""
+    results = [OptimizationResult(x, math.inf, np.eye(x.size), OptStatus.FAILED, 0, ())
+               for x in np.asarray(starts, dtype=float)]
+    for k, i in enumerate(live):
+        results[i] = OptimizationResult(
+            theta[i].copy(), float(f[i]), hessians[k], status[i], int(n_iter[i]),
+            tuple(history[i]),
+        )
+    return results
 
-    Each iteration makes one `residuals_batch` call for the stencils of
-    every start still running, one stacked solve of their damped normal
-    equations, and one `residuals_batch` call per damping round for the
-    trial steps still pending.  The reductions are plain einsum and each
-    start's solve is its own, so a start's result does not depend on which
-    other starts share its batch.  Per start: lambda starts at 1e-3, grows
-    x10 on a rejected (or failed) trial up to 1e12 and shrinks /10 on an
-    accepted one down to 1e-12."""
+
+def _minimize_lm(target, starts, settings):
+    """Levenberg-Marquardt from every row of `starts` in lockstep: per
+    iteration one `residuals_batch` call for the stencils of every running
+    start, one stacked solve of their damped normal equations, and one call
+    per damping round.  Per start, lambda starts at 1e-3, grows x10 on a
+    rejected (or failed) trial up to 1e12 and shrinks /10 on an accepted
+    one down to 1e-12."""
     theta = np.array(starts, dtype=float)
     n_starts, n = theta.shape
     r, start_failed = target.residuals_batch(theta)
@@ -204,12 +210,13 @@ def _minimize_lm(target, starts, settings):
     n_iter = np.zeros(n_starts, dtype=int)
     status = np.full(n_starts, OptStatus.MAX_ITERATIONS, dtype=object)
     history = [[value] for value in f.tolist()]
-    active = np.flatnonzero(~start_failed)
+    active = live = np.flatnonzero(~start_failed)
     for it in range(1, settings.max_iter + 1):
         if active.size == 0:
             break
         n_iter[active] = it
-        jt, ok = _stencil_jacobians(target, theta[active], settings.rel_step)
+        jt, ok = _derivatives(target.residuals_batch, theta[active], r[active],
+                              settings.rel_step)
         status[active[~ok]] = OptStatus.FAILED
         active, jt = active[ok], jt[ok]
         grad = np.einsum("akm,am->ak", jt, r[active])
@@ -244,124 +251,107 @@ def _minimize_lm(target, starts, settings):
         converged = df < settings.f_tol * (1.0 + np.abs(f[active]))
         status[active[converged]] = OptStatus.CONVERGED
         active = active[~converged]
-    live = np.flatnonzero(~start_failed)
-    jt, ok = _stencil_jacobians(target, theta[live], settings.rel_step)
+    jt, ok = _derivatives(target.residuals_batch, theta[live], r[live], settings.rel_step)
     # one stacked repair; a start without a Jacobian keeps the identity.  The
     # prior rows are part of the whitened residuals, so J holds them
     hessians = np.tile(np.eye(n), (live.size, 1, 1))
     hessians[ok] = gauss_newton_hessian(jt[ok].swapaxes(1, 2), np.zeros((n, n)))
-    results = [_failed(start) for start in np.asarray(starts, dtype=float)]
-    for k, i in enumerate(live):
-        results[i] = OptimizationResult(
-            theta[i].copy(), float(f[i]), hessians[k], status[i], int(n_iter[i]),
-            tuple(history[i]),
-        )
-    return results
+    return _results(starts, live, theta, f, hessians, status, n_iter, history)
 
 
-def _minimize_bfgs(target, start, settings):
-    def func(point):
-        return target.neg_log_posterior(point)
-
-    theta = np.asarray(start, dtype=float)
-    fval = func(theta)
-    if is_failure(fval):
-        return _failed(theta)
-    try:
-        grad = finite_diff_gradient(func, theta, settings.rel_step)
-    except EvaluationFailed:
-        return _failed(theta)
-    hinv = np.eye(theta.size)
-    history = [fval]
-    status = OptStatus.MAX_ITERATIONS
-    it = 0
+def _minimize_bfgs(target, starts, settings):
+    """BFGS from every row of `starts` in lockstep: per iteration one
+    `log_density_batch` call for the gradient stencils of every start still
+    running and one per Armijo backtracking round (at most 60, each halving
+    the step).  The final Hessians take one more; a start whose Hessian
+    stencil fails gets pinv of its inverse-Hessian estimate."""
+    evaluate = partial(_neg_log_posterior_batch, target)
+    theta = np.array(starts, dtype=float)
+    n_starts, n = theta.shape
+    f, start_failed = evaluate(theta)
+    grad = np.zeros((n_starts, n))
+    live = np.flatnonzero(~start_failed)
+    grad[live], ok = _derivatives(evaluate, theta[live], f[live], settings.rel_step)
+    active = live = live[ok]
+    hinv = np.tile(np.eye(n), (n_starts, 1, 1))
+    n_iter = np.zeros(n_starts, dtype=int)
+    status = np.full(n_starts, OptStatus.MAX_ITERATIONS, dtype=object)
+    history = [[value] for value in f.tolist()]
     for it in range(1, settings.max_iter + 1):
-        if np.linalg.norm(grad) <= settings.grad_tol:
-            status = OptStatus.CONVERGED
+        if active.size == 0:
             break
-        direction = -hinv @ grad
-        slope = float(grad @ direction)
-        if slope >= 0.0:
-            hinv = np.eye(theta.size)
-            direction = -grad
-            slope = -float(grad @ grad)
-        alpha = 1.0
-        accepted = False
+        n_iter[active] = it
+        flat = np.sqrt(_norms_sq(grad[active])) <= settings.grad_tol
+        status[active[flat]] = OptStatus.CONVERGED
+        active = active[~flat]
+        g = grad[active]
+        direction = -np.einsum("akl,al->ak", hinv[active], g)
+        slope = np.einsum("ak,ak->a", g, direction)
+        uphill = slope >= 0.0
+        hinv[active[uphill]] = np.eye(n)
+        direction[uphill], slope[uphill] = -g[uphill], -_norms_sq(g[uphill])
+        # the backtracking rounds: `pending` indexes the active starts whose
+        # Armijo test has not passed yet
+        alpha, f_new = np.ones(active.size), np.full(active.size, np.nan)
+        pending = np.arange(active.size)
         for _ in range(60):
-            trial = theta + alpha * direction
-            f_trial = func(trial)
-            if not is_failure(f_trial) and f_trial <= fval + 1e-4 * alpha * slope:
-                accepted = True
+            if pending.size == 0:
                 break
-            alpha *= 0.5
-        if not accepted:
-            status = OptStatus.FAILED
-            break
-        try:
-            grad_trial = finite_diff_gradient(func, trial, settings.rel_step)
-        except EvaluationFailed:
-            status = OptStatus.FAILED
-            break
-        s = alpha * direction
-        y = grad_trial - grad
-        sy = float(s @ y)
-        if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
-            rho = 1.0 / sy
-            eye = np.eye(theta.size)
-            left = eye - rho * np.outer(s, y)
-            hinv = left @ hinv @ left.T + rho * np.outer(s, s)
-        df = fval - f_trial
-        theta, fval, grad = trial, f_trial, grad_trial
-        history.append(fval)
+            rows = active[pending]
+            f_trial, failed = evaluate(theta[rows] + alpha[pending, None] * direction[pending])
+            good = ~failed & (f_trial <= f[rows] + 1e-4 * alpha[pending] * slope[pending])
+            f_new[pending[good]] = f_trial[good]
+            pending = pending[~good]
+            alpha[pending] *= 0.5
+        moved = ~np.isnan(f_new)
+        status[active[~moved]] = OptStatus.FAILED
+        active, s, f_new = active[moved], alpha[moved, None] * direction[moved], f_new[moved]
+        grad_new, ok = _derivatives(evaluate, theta[active] + s, f_new, settings.rel_step)
+        status[active[~ok]] = OptStatus.FAILED
+        active, s, f_new, grad_new = active[ok], s[ok], f_new[ok], grad_new[ok]
+        y = grad_new - grad[active]
+        sy = np.einsum("ak,ak->a", s, y)
+        update = sy > 1e-12 * np.sqrt(_norms_sq(s)) * np.sqrt(_norms_sq(y))
+        rows, rho, s_up = active[update], 1.0 / sy[update, None, None], s[update]
+        left = np.eye(n) - rho * np.einsum("ak,al->akl", s_up, y[update])
+        hinv[rows] = np.einsum(
+            "akm,alm->akl", np.einsum("akl,alm->akm", left, hinv[rows]), left
+        ) + rho * np.einsum("ak,al->akl", s_up, s_up)
+        df = f[active] - f_new
+        theta[active] += s
+        f[active], grad[active] = f_new, grad_new
+        for i in active:
+            history[i].append(float(f[i]))
         # the |dF| test alone does not certify a minimum; require the
         # gradient criterion as well so CONVERGED implies a small gradient
-        if df < settings.f_tol * (1.0 + abs(fval)) and (
-            np.linalg.norm(grad) <= settings.grad_tol
-        ):
-            status = OptStatus.CONVERGED
-            break
-    try:
-        hessian = fd_hessian(func, theta, HESSIAN_REL_STEP)
-    except EvaluationFailed:
-        hessian = repair_spd_eig(np.linalg.pinv(hinv))
-    return OptimizationResult(theta, fval, hessian, status, it, tuple(history))
-
-
-def _failed(theta):
-    return OptimizationResult(
-        np.asarray(theta, dtype=float),
-        math.inf,
-        np.eye(np.asarray(theta).size),
-        OptStatus.FAILED,
-        0,
-        (),
-    )
+        converged = (df < settings.f_tol * (1.0 + np.abs(f_new))) & (
+            np.sqrt(_norms_sq(grad_new)) <= settings.grad_tol
+        )
+        status[active[converged]] = OptStatus.CONVERGED
+        active = active[~converged]
+    hessians, ok = _hessians(evaluate, theta[live], f[live], HESSIAN_REL_STEP)
+    hessians[~ok] = np.linalg.pinv(hinv[live[~ok]])
+    return _results(starts, live, theta, f, repair_spd_eig(hessians), status, n_iter,
+                    history)
 
 
 def minimize(
     target: TargetDensity, start, settings: OptSettings | None = None
 ) -> OptimizationResult:
-    """Minimize F = -log posterior from `start`: `minimize_all` with this
-    one start.
-
-    A target with `residuals_batch` (least-squares structure) is minimized
-    by Levenberg-Marquardt, any other by BFGS with finite-difference
-    gradients.  Infeasible starts (Failure density) return a FAILED result
-    immediately.  Stops when |dF| < f_tol*(1+|F|), the gradient norm drops
-    below grad_tol, or max_iter is reached.
-    """
+    """Minimize F from `start` by `minimize_all`.  An infeasible start
+    (Failure density) returns a FAILED result at once.  Stops when |dF| <
+    f_tol*(1+|F|), the gradient norm drops below grad_tol, or at max_iter."""
     return minimize_all(target, np.asarray(start, dtype=float)[None, :], settings)[0]
 
 
 def minimize_all(
     target: TargetDensity, starts, settings: OptSettings | None = None
 ) -> list[OptimizationResult]:
-    """`minimize` from every row of `starts`; each start's result is the
-    same as alone.  Levenberg-Marquardt moves all the starts in lockstep,
-    one residual batch per stage; BFGS runs one start after the other.  The
-    choice is by attribute, so a proxy that forwards `residuals_batch`
-    keeps it."""
+    """`minimize` from every row of `starts`, all in lockstep.  The products
+    are plain einsum and each start's solve is its own, so each start's
+    result is the same as alone.  Levenberg-Marquardt is chosen by
+    attribute, so a proxy that forwards `residuals_batch` keeps it."""
     settings = settings or OptSettings()
     if getattr(target, "residuals_batch", None) is not None:
         return _minimize_lm(target, starts, settings)
-    return [_minimize_bfgs(target, start, settings) for start in starts]
+    return _minimize_bfgs(target, starts, settings)

@@ -45,8 +45,8 @@ class TargetDensity:
     outside support), `residuals(theta)` for least-squares structure, and
     `sample_prior(rng, n)` used by initializers.
 
-    Importance sampling evaluates a draw in fixed row blocks
-    (`isa.EVAL_BLOCK_ROWS`) through `log_density_batch(thetas) -> (values,
+    Importance sampling (in row blocks of `isa.EVAL_BLOCK_ROWS`) and the
+    optimizer's BFGS evaluate through `log_density_batch(thetas) -> (values,
     failed)`: a float array and a boolean mask, with `-inf` in every failed
     row.  The default loops over `log_density`; a target may override it
     with a vectorized version that agrees with the per-point path up to
@@ -62,7 +62,7 @@ class TargetDensity:
     that defines `residuals` but not `residuals_batch` gets
     `residuals_loop`, one `residuals` call per row.  Non-finite values that
     a vectorized override returns are counted as failures where the batch
-    is evaluated (`isa.parallel_map_density`).
+    is evaluated (`isa.parallel_map_density`, the optimizer).
     """
 
     dimension: int

@@ -199,10 +199,30 @@ class TestRunConfig:
             ({"isa": {"samples": 50, "inflation": float("nan")}}, "inflation must be >= 1"),
             ({"isa": {"samples": 50, "family": "student_t", "nu": float("nan")}},
              "nu > 2"),
+            ({"isa": {"samples": 50, "tol": "0.05"}}, "malformed isa.tol"),
+            ({"isa": {"samples": 50, "inflation": True}}, "malformed isa.inflation"),
+            ({"isa": {"samples": 50, "family": "student_t", "nu": "3"}}, "malformed isa.nu"),
+            ({"init": {"mcmc": {"walkers": 4, "steps": 5, "keep": 20, "a": True}}},
+             "malformed init.mcmc.a"),
+            ({"init": {"gmm": {"n_starts": 2, "confidence": "0.95"}}},
+             "malformed init.gmm.confidence"),
+            ({"opt": {"rel_step": True}}, "malformed opt.rel_step"),
+            ({"opt": {"f_tol": "1e-10"}}, "malformed opt.f_tol"),
+            ({"opt": {"grad_tol": False}}, "malformed opt.grad_tol"),
+            ({"target": "regression", "regression": {**REGRESSION, "noise_sd": True}},
+             "malformed regression.noise_sd"),
+            ({"target": "regression",
+              "regression": {**REGRESSION, "prior_sd": [3.0, True, 3.0]}},
+             "malformed regression.prior_sd"),
+            ({"target": "gaussian", "gaussian": {"mean": ["1.5", 0.0]}},
+             "malformed gaussian.mean"),
         ],
         ids=["samples-fraction", "samples-bool", "samples-string", "max-iterations-bool",
              "steps-fraction", "seed-string", "workers-fraction", "n-z-fraction",
-             "tol-nan", "inflation-nan", "nu-nan"],
+             "tol-nan", "inflation-nan", "nu-nan", "tol-string", "inflation-bool",
+             "nu-string", "a-bool", "confidence-string", "rel-step-bool", "f-tol-string",
+             "grad-tol-bool", "noise-sd-bool", "prior-sd-bool-entry",
+             "mean-string-entry"],
     )
     def test_malformed_number_clean_error(self, tmp_path, capsys, overrides, where):
         # json writes and reads float("nan") as NaN

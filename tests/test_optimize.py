@@ -1,4 +1,6 @@
 import math
+import types
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,8 +19,10 @@ from isalib import (
     gauss_newton_hessian,
     minimize,
 )
-from isalib.optimize import _failed, _fd_jacobian, minimize_all, repair_spd_eig
-from isalib.targets import is_failure, make_synthetic_regression
+from isalib.optimize import HESSIAN_REL_STEP, _derivatives, minimize_all, repair_spd_eig
+from isalib.targets import (
+    TargetDensity, is_failure, make_synthetic_regression, residuals_loop,
+)
 
 
 def reference_gradient(f, theta, rel_step=1e-6):
@@ -81,6 +85,52 @@ def reference_jacobian(residuals, theta, rel_step):
     return np.column_stack(cols)
 
 
+def reference_hessian(f, theta, rel_step):
+    """The per-point second-difference loop of `fd_hessian` as it stood
+    before the batch stencils, without the SPD repair (bitwise reference)."""
+    theta = np.asarray(theta, dtype=float)
+    n = theta.size
+    h = rel_step * (1.0 + np.abs(theta))
+
+    def ev(point):
+        val = f(point)
+        if is_failure(val):
+            raise EvaluationFailed("stencil point evaluation failed")
+        return float(val)
+
+    f0 = ev(theta)
+    hess = np.empty((n, n))
+    for i in range(n):
+        ei = np.zeros(n)
+        ei[i] = h[i]
+        hess[i, i] = (ev(theta + ei) - 2.0 * f0 + ev(theta - ei)) / h[i] ** 2
+        for j in range(i + 1, n):
+            ej = np.zeros(n)
+            ej[j] = h[j]
+            hess[i, j] = hess[j, i] = (
+                ev(theta + ei + ej)
+                - ev(theta + ei - ej)
+                - ev(theta - ei + ej)
+                + ev(theta - ei - ej)
+            ) / (4.0 * h[i] * h[j])
+    return hess
+
+
+def lm_jacobian(residuals, theta, rel_step):
+    """The Jacobian Levenberg-Marquardt takes at one point: `_derivatives`
+    over a `residuals_loop` batch, with the residuals at theta as the
+    centre.  Returns it (m, n) and whether it exists."""
+    evaluate = partial(residuals_loop, types.SimpleNamespace(residuals=residuals))
+    thetas = np.asarray(theta, dtype=float)[None, :]
+    jt, ok = _derivatives(evaluate, thetas, evaluate(thetas)[0], rel_step)
+    return jt[0].T, bool(ok[0])
+
+
+def failed_result(start):
+    return OptimizationResult(np.asarray(start, dtype=float), math.inf,
+                              np.eye(np.size(start)), OptStatus.FAILED, 0, ())
+
+
 THETA = np.array([0.7, 0.3, -1.9])
 # the points where the function fails: one or both sides of coordinate 1's
 # stencil, or that side and THETA itself
@@ -127,23 +177,38 @@ class TestOneStencil:
     def test_jacobian_matches_reference_bitwise(self, fails):
         f = vector_function(fails)
         for rel_step in (1e-6, 1e-3):
-            jac = _fd_jacobian(f, THETA, rel_step)
+            jac, ok = lm_jacobian(f, THETA, rel_step)
             ref = reference_jacobian(f, THETA, rel_step)
-            assert jac.dtype == ref.dtype and jac.shape == ref.shape
+            assert ok and jac.dtype == ref.dtype and jac.shape == ref.shape
             assert jac.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("fails", ["both", "expansion-point"])
     def test_failed_stencil_raises(self, fails):
-        for reference, stencil, f in (
-            (reference_gradient, finite_diff_gradient, scalar_function(fails, math.inf)),
-            (reference_jacobian, _fd_jacobian, vector_function(fails)),
-        ):
-            with pytest.raises(EvaluationFailed) as ref_error:
-                reference(f, THETA, 1e-6)
-            with pytest.raises(EvaluationFailed) as error:
-                stencil(f, THETA, 1e-6)
-            assert ("expansion point" in str(error.value)) == (fails == "expansion-point")
-            assert ("expansion point" in str(ref_error.value)) == (fails == "expansion-point")
+        f = scalar_function(fails, math.inf)
+        with pytest.raises(EvaluationFailed) as ref_error:
+            reference_gradient(f, THETA, 1e-6)
+        with pytest.raises(EvaluationFailed) as error:
+            finite_diff_gradient(f, THETA, 1e-6)
+        assert ("expansion point" in str(error.value)) == (fails == "expansion-point")
+        assert ("expansion point" in str(ref_error.value)) == (fails == "expansion-point")
+        with pytest.raises(EvaluationFailed):
+            reference_jacobian(vector_function(fails), THETA, 1e-6)
+        if fails == "both":
+            # the batch path holds each start's (valid) centre residuals, so
+            # only a coordinate failing on both sides leaves it without a
+            # Jacobian
+            assert not lm_jacobian(vector_function(fails), THETA, 1e-6)[1]
+
+    @pytest.mark.parametrize("fails", ["none", "up", "down"])
+    def test_fd_hessian_matches_reference_bitwise(self, fails):
+        f = scalar_function(fails, math.inf)
+        for rel_step in (1e-5, HESSIAN_REL_STEP):
+            if fails == "none":
+                ref = repair_spd_eig(reference_hessian(f, THETA, rel_step))
+                assert fd_hessian(f, THETA, rel_step).tobytes() == ref.tobytes()
+            else:
+                with pytest.raises(EvaluationFailed):
+                    fd_hessian(f, THETA, rel_step)
 
     def test_gradient_accepts_a_failure_object(self):
         grad = finite_diff_gradient(scalar_function("up", FAILURE), THETA)
@@ -263,7 +328,8 @@ class TestGaussNewton:
 
     def test_jacobian_of_linear_residuals(self):
         a = np.array([[2.0, -1.0], [0.5, 3.0], [1.0, 1.0]])
-        jac = _fd_jacobian(lambda t: a @ t - 1.0, np.array([0.3, 0.7]), 1e-6)
+        jac, ok = lm_jacobian(lambda t: a @ t - 1.0, np.array([0.3, 0.7]), 1e-6)
+        assert ok
         np.testing.assert_allclose(jac, a, rtol=1e-7)
 
 
@@ -325,7 +391,7 @@ class TestMinimizeLm:
         assert hasattr(target, "residuals")
         result = minimize(target, np.array([0.0, 0.0]))
         # LM keeps a Gauss-Newton Hessian: for this linear model it is J^T J
-        jac = _fd_jacobian(target.residuals, result.minimizer, 1e-6)
+        jac = reference_jacobian(target.residuals, result.minimizer, 1e-6)
         np.testing.assert_allclose(
             result.hessian_approx, jac.T @ jac, rtol=1e-4
         )
@@ -360,7 +426,7 @@ def reference_lm(target, start, settings):
     theta = np.asarray(start, dtype=float)
     r = target.residuals(theta)
     if is_failure(r):
-        return _failed(theta)
+        return failed_result(theta)
     r = np.asarray(r)
     fval = 0.5 * float(r @ r)
     history = [fval]
@@ -369,7 +435,7 @@ def reference_lm(target, start, settings):
     it = 0
     for it in range(1, settings.max_iter + 1):
         try:
-            jac = _fd_jacobian(target.residuals, theta, settings.rel_step)
+            jac = reference_jacobian(target.residuals, theta, settings.rel_step)
         except EvaluationFailed:
             status = OptStatus.FAILED
             break
@@ -401,7 +467,7 @@ def reference_lm(target, start, settings):
             status = OptStatus.CONVERGED
             break
     try:
-        jac = _fd_jacobian(target.residuals, theta, settings.rel_step)
+        jac = reference_jacobian(target.residuals, theta, settings.rel_step)
         hessian = gauss_newton_hessian(jac, np.zeros((theta.size, theta.size)))
     except EvaluationFailed:
         hessian = np.eye(theta.size)
@@ -516,3 +582,207 @@ class TestLockstepLm:
         rounds = max(r.n_iter for r in results)
         assert calls[0] == len(starts) and calls[-1] == 2 * 5 * len(starts)
         assert 2 * rounds + 2 <= len(calls) < sum(r.n_iter for r in results)
+
+
+def reference_bfgs(target, start, settings):
+    """BFGS one start at a time, as it was before the starts moved in
+    lockstep, with F taken through `log_density_batch` one point at a time;
+    kept as the reference for the lockstep version."""
+
+    def func(point):
+        values, failed = target.log_density_batch(np.asarray(point, dtype=float)[None, :])
+        return math.inf if failed[0] or not math.isfinite(values[0]) else -float(values[0])
+
+    theta = np.asarray(start, dtype=float)
+    fval = func(theta)
+    if is_failure(fval):
+        return failed_result(theta)
+    try:
+        grad = reference_gradient(func, theta, settings.rel_step)
+    except EvaluationFailed:
+        return failed_result(theta)
+    hinv = np.eye(theta.size)
+    history = [fval]
+    status = OptStatus.MAX_ITERATIONS
+    it = 0
+    for it in range(1, settings.max_iter + 1):
+        if np.linalg.norm(grad) <= settings.grad_tol:
+            status = OptStatus.CONVERGED
+            break
+        direction = -hinv @ grad
+        slope = float(grad @ direction)
+        if slope >= 0.0:
+            hinv = np.eye(theta.size)
+            direction = -grad
+            slope = -float(grad @ grad)
+        alpha = 1.0
+        accepted = False
+        for _ in range(60):
+            trial = theta + alpha * direction
+            f_trial = func(trial)
+            if not is_failure(f_trial) and f_trial <= fval + 1e-4 * alpha * slope:
+                accepted = True
+                break
+            alpha *= 0.5
+        if not accepted:
+            status = OptStatus.FAILED
+            break
+        try:
+            grad_trial = reference_gradient(func, trial, settings.rel_step)
+        except EvaluationFailed:
+            status = OptStatus.FAILED
+            break
+        s = alpha * direction
+        y = grad_trial - grad
+        sy = float(s @ y)
+        if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
+            rho = 1.0 / sy
+            left = np.eye(theta.size) - rho * np.outer(s, y)
+            hinv = left @ hinv @ left.T + rho * np.outer(s, s)
+        df = fval - f_trial
+        theta, fval, grad = trial, f_trial, grad_trial
+        history.append(fval)
+        if df < settings.f_tol * (1.0 + abs(fval)) and (
+            np.linalg.norm(grad) <= settings.grad_tol
+        ):
+            status = OptStatus.CONVERGED
+            break
+    try:
+        hessian = repair_spd_eig(reference_hessian(func, theta, HESSIAN_REL_STEP))
+    except EvaluationFailed:
+        hessian = repair_spd_eig(np.linalg.pinv(hinv))
+    return OptimizationResult(theta, fval, hessian, status, it, tuple(history))
+
+
+class BoxedGaussian(TargetDensity):
+    """A unit normal about `mean` that fails more than 1e-3 from it in any
+    coordinate: the gradient stencils (steps near 1e-6) fit inside the box,
+    and every Hessian stencil point (steps near 5e-3) lies outside."""
+
+    dimension = 2
+    mean = np.array([0.3, -0.2])
+
+    def log_density(self, theta):
+        dev = np.asarray(theta, dtype=float) - self.mean
+        return FAILURE if np.abs(dev).max() > 1e-3 else -0.5 * float(dev @ dev)
+
+
+def bfgs_starts(case):
+    """100 starts: toy2d prior draws with five outside its cube, normal
+    draws about a 3-d Gaussian target, or draws inside BoxedGaussian's box."""
+    rng = np.random.default_rng(17)
+    if case == "toy2d":
+        starts = Toy2DTarget().sample_prior(rng, 100)
+        starts[::20] += 12.0
+        return Toy2DTarget(), starts
+    if case == "gaussian":
+        cov = np.array([[1.5, 0.2, 0.1], [0.2, 0.7, 0.0], [0.1, 0.0, 2.0]])
+        return GaussianTarget(np.array([2.0, -1.0, 0.5]), cov), rng.normal(scale=3.0, size=(100, 3))
+    return BoxedGaussian(), BoxedGaussian.mean + rng.uniform(-5e-4, 5e-4, size=(100, 2))
+
+
+BFGS_CASES = ["toy2d", "gaussian", "boxed"]
+
+
+class TestLockstepBfgs:
+    """BFGS moves all the starts of a multistart in lockstep; each start's
+    result is its own."""
+
+    @pytest.mark.parametrize("case", BFGS_CASES)
+    def test_result_does_not_depend_on_the_batch(self, case):
+        target, starts = bfgs_starts(case)
+        together = minimize_all(target, starts)
+        perm = np.random.default_rng(3).permutation(len(starts))
+        permuted = minimize_all(target, starts[perm])
+        for i, start in enumerate(starts):
+            assert_same_result(together[i], minimize(target, start))
+        for k, i in enumerate(perm):
+            assert_same_result(permuted[k], together[i])
+
+    @pytest.mark.parametrize("case", BFGS_CASES)
+    def test_matches_the_per_start_reference(self, case):
+        target, starts = bfgs_starts(case)
+        settings = OptSettings()
+        statuses = set()
+        for start, result in zip(starts, minimize_all(target, starts, settings)):
+            ref = reference_bfgs(target, start, settings)
+            # the reference's products are `@` and dot, the lockstep's einsum:
+            # they can differ in the last bit, and the iterations carry that on
+            assert (result.status, result.n_iter) == (ref.status, ref.n_iter)
+            np.testing.assert_allclose(result.minimizer, ref.minimizer, rtol=1e-8)
+            np.testing.assert_allclose(result.f_history, ref.f_history, rtol=1e-9, atol=1e-12)
+            scale = np.abs(ref.hessian_approx).max()
+            np.testing.assert_allclose(result.hessian_approx, ref.hessian_approx, atol=1e-7 * scale)
+            statuses.add(result.status)
+        expected = {OptStatus.CONVERGED, OptStatus.FAILED} if case == "toy2d" else {
+            OptStatus.CONVERGED}
+        assert statuses == expected
+
+    def test_one_density_batch_per_stage(self):
+        target, starts = bfgs_starts("toy2d")
+        calls, points = [], []
+        batch = target.log_density_batch
+        target.log_density_batch = lambda thetas: calls.append(len(thetas)) or batch(thetas)
+        target.log_density = lambda theta: points.append(theta)
+        results = minimize_all(target, starts)
+        live = sum(r.status is not OptStatus.FAILED for r in results)
+        rounds = max(r.n_iter for r in results)
+        # the starts, their gradient stencils, then per iteration at least
+        # one backtracking round and the new gradients, then the Hessians
+        assert (calls[0], calls[1], calls[-1]) == (len(starts), 2 * 2 * live, 2 * 2**2 * live)
+        assert 2 * rounds + 1 <= len(calls) < sum(r.n_iter for r in results)
+        assert points == []
+
+    def test_hessian_stencil_failure_falls_back_to_the_inverse_estimate(self):
+        target, starts = bfgs_starts("boxed")
+        for start, result in zip(starts, minimize_all(target, starts)):
+            assert result.status is OptStatus.CONVERGED
+            with pytest.raises(EvaluationFailed):
+                reference_hessian(target.neg_log_posterior, result.minimizer, HESSIAN_REL_STEP)
+            np.linalg.cholesky(result.hessian_approx)
+            np.testing.assert_allclose(result.hessian_approx, np.eye(2), atol=1e-4)
+
+
+class TestOneSidedStencils:
+    """A stencil point that fails on one side gives a one-sided quotient from
+    the batch and the known centre residuals: nothing is evaluated twice."""
+
+    def test_jacobian_matches_the_reference(self):
+        target = edge_target("failure", 1.3)
+        # theta_0 on, or within a step of, the model's edge at 1.2
+        thetas = np.column_stack([[1.2, 1.2 - 1e-7, 1.2 - 1e-6, 0.4], [0.3, -0.5, 2.0, 1.0]])
+        r, failed = target.residuals_batch(thetas)
+        assert not failed.any()
+        jt, ok = _derivatives(target.residuals_batch, thetas, r, 1e-6)
+        assert ok.all()
+        for theta, jac in zip(thetas, jt):
+            ref = reference_jacobian(target.residuals, theta, 1e-6)
+            assert jac.T.tobytes() == ref.tobytes()
+
+    def test_each_stage_evaluates_2n_rows_per_start(self):
+        target, starts = lockstep_starts("failure-past-edge")
+        evaluated, calls = [], []
+        residuals, batch = target.residuals, target.residuals_batch
+        target.residuals = lambda theta: evaluated.append(theta) or residuals(theta)
+
+        def counted_batch(thetas):
+            r, failed = batch(thetas)
+            calls.append(failed)
+            return r, failed
+
+        target.residuals_batch = counted_batch
+        results = minimize_all(target, starts)
+        # every residual evaluated went through a batch
+        assert len(evaluated) == sum(failed.size for failed in calls)
+        # the stencil batches: 2n rows for each start running at each
+        # iteration, then for every start that did not fail at once
+        n = starts.shape[1]
+        iters = np.array([r.n_iter for r in results])
+        live = sum(r.n_iter > 0 for r in results)
+        sizes = [2 * n * np.count_nonzero(iters >= it) for it in range(1, iters.max() + 1)]
+        stencils = iter(calls[1:])
+        one_sided = 0
+        for size in sizes + [2 * n * live]:
+            failed = next(f for f in stencils if f.size == size).reshape(-1, n, 2)
+            one_sided += np.count_nonzero(failed.any(axis=2) & ~failed.all(axis=2))
+        assert one_sided > 0

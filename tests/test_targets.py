@@ -480,8 +480,9 @@ class TestResidualsBatch:
         target.model = counted_model
         proxy = CountingProxy(target)
         multistart(proxy, 12, np.random.default_rng(4))
-        # only Levenberg-Marquardt evaluates batches here, and the optimum
-        # lies past the model's edge, so stencils fall back to per-point
-        # residuals
-        assert evaluated["point"] > 0 and evaluated["batch"] > 0
+        # only Levenberg-Marquardt evaluates here.  The optimum lies past the
+        # model's edge, so stencils fall back to one side, and those
+        # quotients come from the batch too: no point goes through the
+        # per-point model
+        assert evaluated["point"] == 0 and evaluated["batch"] > 0
         assert proxy.points == evaluated["point"] + evaluated["batch"]
