@@ -11,12 +11,16 @@ Each line is `sha256  path`, with the path relative to the output directory.
 clock readings.  Each invocation also gets one line for its exit code and
 stdout, under the path `<invocation>/exit+stdout`, with the output directory
 written as `<out>` so that listings made in different places compare.
+`export-triangle` reads the `ensemble.csv` of the corpus's `run` of the same
+config and seed, through a copy of that config with an `init.file` section,
+written next to the outputs as `export-triangle/<config>/<seed>.json`.
 """
 
 import argparse
 import contextlib
 import hashlib
 import io
+import json
 import re
 import tempfile
 from pathlib import Path
@@ -39,7 +43,19 @@ def corpus():
     runs += [("init-mcmc", "toy2d_mcmc", 3), ("mcmc-baseline", "toy2d_baseline", 9)]
     runs += [("run", "gaussian_mcmc", seed) for seed in range(11, 15)]
     runs += [("init-mcmc", "gaussian_mcmc", 11)]
+    runs += [("export-triangle", "regression_student_t", 5)]
     return runs
+
+
+def export_config(root: Path, config: str, seed: int) -> Path:
+    """The path of a copy of `config` whose init reads the ensemble.csv of
+    its `run` at `seed`, written under `root`."""
+    data = json.loads((CONFIGS / f"{config}.json").read_text())
+    data["init"] = {"file": str(root / "run" / config / str(seed) / "ensemble.csv")}
+    path = root / "export-triangle" / config / f"{seed}.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(data))
+    return path
 
 
 def digest(path: Path) -> str:
@@ -57,9 +73,11 @@ def main():
         root = Path(args.out or stack.enter_context(tempfile.TemporaryDirectory()))
         for command, config, seed in corpus():
             name = f"{command}/{config}/{seed}"
+            path = (export_config(root, config, seed) if command == "export-triangle"
+                    else CONFIGS / f"{config}.json")
             stdout = io.StringIO()
             with contextlib.redirect_stdout(stdout):
-                code = cli_main([command, "--config", str(CONFIGS / f"{config}.json"),
+                code = cli_main([command, "--config", str(path),
                                  "--seed", str(seed), "--output", str(root / name)])
             text = stdout.getvalue().replace(str(root), "<out>")
             record = f"exit {code}\n{text}".encode()

@@ -191,7 +191,10 @@ def triangle_export(
     ensemble: WeightedEnsemble, bins: int = DEFAULT_BINS, out_dir="."
 ) -> list[Path]:
     """Write 1-d histogram CSVs per coordinate, 2-d histogram CSVs per pair,
-    and a minimal SVG triangle grid.  Deterministic for a fixed ensemble."""
+    and a minimal SVG triangle grid.  Deterministic for a fixed ensemble.
+    A pair i < j's CSV is its bins x bins mass matrix: one row per theta_i
+    bin, one column per theta_j bin; its bin edges are those of the two 1-d
+    CSVs."""
     # the ranges raise on a degenerate ensemble, so before anything is made
     binned = [_binned(ensemble, i, bins, r) for i, r in enumerate(default_ranges(ensemble))]
     out = Path(out_dir)
@@ -216,35 +219,12 @@ def triangle_export(
             hist = _histogram_2d(*binned[i], *binned[j], w)
             hists2d[(i, j)] = hist
             path = out / f"hist2d_theta_{i}_theta_{j}.csv"
-            _write_hist2d_csv(path, hist)
+            write_csv_table(path, [f"y_bin_{b}" for b in range(bins)], hist.mass)
             written.append(path)
     svg_path = out / "triangle.svg"
     svg_path.write_text(_triangle_svg(hists1d, hists2d, d))
     written.append(svg_path)
     return written
-
-
-def _edge_cells(edges: np.ndarray) -> list[str]:
-    """'left,right,' per bin, each edge formatted once with %.17g."""
-    text = ["%.17g" % edge for edge in edges.tolist()]
-    return [f"{left},{right}," for left, right in zip(text[:-1], text[1:])]
-
-
-def _write_hist2d_csv(path, hist: Histogram2D) -> None:
-    """One row per (x bin, y bin), y bins varying fastest; the same bytes as
-    write_csv_table over the five columns x_left, x_right, y_left, y_right,
-    mass, with every edge formatted once instead of once per row."""
-    x_cells = _edge_cells(hist.x_edges)
-    y_cells = _edge_cells(hist.y_edges)
-    with open(path, "w", newline="") as fh:
-        fh.write("x_left,x_right,y_left,y_right,mass\r\n")
-        for x_cell, masses in zip(x_cells, hist.mass.tolist()):
-            fh.write(
-                "".join(
-                    "%s%s%.17g\r\n" % (x_cell, y_cell, mass)
-                    for y_cell, mass in zip(y_cells, masses)
-                )
-            )
 
 
 PANEL = 120  # panel edge length in SVG user units

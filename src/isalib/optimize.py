@@ -87,22 +87,28 @@ def _derivatives(evaluate, thetas, centre, rel_step):
     `evaluate` at every row of `thetas`, from one `_stencils` call over 2n
     axis points per row: central, or one-sided against the row's value in
     `centre` where a side failed; and a mask of the rows with no coordinate
-    failed on both sides."""
+    failed on both sides.  With no rows it makes no `evaluate` call."""
+    if not len(thetas):
+        return np.empty(thetas.shape + centre.shape[1:]), np.ones(0, dtype=bool)
     values, failed, h = _stencils(evaluate, thetas, rel_step, _axis_offsets(thetas.shape[1]))
     step = h.reshape(h.shape + (1,) * (values.ndim - 2))  # broadcasts over a vector's entries
     up, dn, centre = values[:, 0::2], values[:, 1::2], centre[:, None]
     up_failed, dn_failed = failed[:, 0::2], failed[:, 1::2]
     quotients = (up - dn) / (2.0 * step)
-    quotients = np.where(up_failed.reshape(step.shape), (centre - dn) / step, quotients)
-    quotients = np.where(dn_failed.reshape(step.shape), (up - centre) / step, quotients)
+    if failed.any():
+        quotients = np.where(up_failed.reshape(step.shape), (centre - dn) / step, quotients)
+        quotients = np.where(dn_failed.reshape(step.shape), (up - centre) / step, quotients)
     return quotients, ~(up_failed & dn_failed).any(axis=1)
 
 
 def _hessians(evaluate, thetas, centre, rel_step):
     """Second-difference Hessians (S, n, n) of a scalar `evaluate` at every
     row of `thetas` (value `centre`), from one `_stencils` call over 2n^2
-    points per row, and a mask of the rows where no point failed."""
+    points per row, and a mask of the rows where no point failed.  With no
+    rows it makes no `evaluate` call."""
     s, n = thetas.shape
+    if not s:
+        return np.empty((0, n, n)), np.ones(0, dtype=bool)
     unit = _axis_offsets(n).reshape(n, 2, n)
     i, j = np.triu_indices(n, 1)
     # +e_i+e_j, +e_i-e_j, -e_i+e_j and -e_i-e_j for each pair i < j

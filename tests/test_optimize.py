@@ -786,3 +786,64 @@ class TestOneSidedStencils:
             failed = next(f for f in stencils if f.size == size).reshape(-1, n, 2)
             one_sided += np.count_nonzero(failed.any(axis=2) & ~failed.all(axis=2))
         assert one_sided > 0
+
+    def test_no_failure_gives_the_central_quotient(self):
+        target, starts = lockstep_starts("regression")
+        r, failed = target.residuals_batch(starts)
+        assert not failed.any()
+        jt, ok = _derivatives(target.residuals_batch, starts, r, 1e-6)
+        assert ok.all()
+        h = 1e-6 * (1.0 + np.abs(starts))
+        for j in range(starts.shape[1]):
+            step = np.zeros_like(starts)
+            step[:, j] = h[:, j]
+            up, up_failed = target.residuals_batch(starts + step)
+            dn, dn_failed = target.residuals_batch(starts - step)
+            assert not (up_failed | dn_failed).any()
+            assert jt[:, j].tobytes() == ((up - dn) / (2.0 * h[:, j, None])).tobytes()
+
+
+def strict_batch(batch, calls):
+    """`batch` that records each call's row count and raises on no rows, as
+    a user's vectorized override may."""
+
+    def call(thetas):
+        calls.append(len(thetas))
+        if not len(thetas):
+            raise ValueError("empty batch")
+        return batch(thetas)
+
+    return call
+
+
+class TestNoEmptyBatch:
+    """No stage calls a batch method with zero rows: a stage with no start
+    left is skipped."""
+
+    def test_bfgs_infeasible_start_makes_one_call(self):
+        target, calls = Toy2DTarget(), []
+        target.log_density_batch = strict_batch(target.log_density_batch, calls)
+        assert minimize(target, [20.0, 20.0]).status is OptStatus.FAILED
+        assert calls == [1]
+
+    def test_lm_failed_start_makes_one_call(self):
+        target, calls = shipped_regression(), []
+        target.residuals_batch = strict_batch(target.residuals_batch, calls)
+        assert minimize(target, [1e308, 0.0, 0.0, 0.0, 0.0]).status is OptStatus.FAILED
+        assert calls == [1]
+
+    @pytest.mark.parametrize(
+        "method, starts_for, case",
+        [("log_density_batch", bfgs_starts, case) for case in BFGS_CASES]
+        + [("residuals_batch", lockstep_starts, case) for case in sorted(LOCKSTEP_CASES)],
+    )
+    def test_multistart_makes_no_empty_call(self, method, starts_for, case):
+        # every start alone and the lockstep batch, some of whose starts fail
+        # at once; the strict batch raises on a call with no rows
+        target, starts = starts_for(case)
+        expected = minimize_all(target, starts)
+        setattr(target, method, strict_batch(getattr(target, method), []))
+        for result, ref in zip(minimize_all(target, starts), expected):
+            assert_same_result(result, ref)
+        for start, ref in zip(starts, expected):
+            assert_same_result(minimize(target, start), ref)
