@@ -11,9 +11,10 @@ Each line is `sha256  path`, with the path relative to the output directory.
 clock readings.  Each invocation also gets one line for its exit code and
 stdout, under the path `<invocation>/exit+stdout`, with the output directory
 written as `<out>` so that listings made in different places compare.
-`export-triangle` reads the `ensemble.csv` of the corpus's `run` of the same
-config and seed, through a copy of that config with an `init.file` section,
-written next to the outputs as `export-triangle/<config>/<seed>.json`.
+The invocations in FILE_INITS read an ensemble file that an earlier
+invocation of the corpus wrote, through a copy of their config with an
+`init.file` section, written next to the outputs as
+`<command>/<config>/<seed>.json`.
 """
 
 import argparse
@@ -29,6 +30,12 @@ from isalib.cli import main as cli_main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 WALL_TIME = re.compile(rb'"wall_time": [^,\n]*')
+# (command, config name, seed) -> the file, relative to the output
+# directory, that the invocation's `init.file` names
+FILE_INITS = {
+    ("run", "toy2d_mcmc", 3): "init-mcmc/toy2d_mcmc/3/init_ensemble.csv",
+    ("export-triangle", "regression_student_t", 5): "run/regression_student_t/5/ensemble.csv",
+}
 
 
 def corpus():
@@ -40,19 +47,20 @@ def corpus():
     runs += [("run", "toy2d_gmm", seed) for seed in range(7, 10)]
     # every toy2d_gmm init is a BFGS multistart (toy2d has no residuals)
     runs += [("init-gmm", "toy2d_gmm", seed) for seed in range(20)]
-    runs += [("init-mcmc", "toy2d_mcmc", 3), ("mcmc-baseline", "toy2d_baseline", 9)]
+    runs += [("init-mcmc", "toy2d_mcmc", 3), ("run", "toy2d_mcmc", 3),
+             ("mcmc-baseline", "toy2d_baseline", 9)]
     runs += [("run", "gaussian_mcmc", seed) for seed in range(11, 15)]
     runs += [("init-mcmc", "gaussian_mcmc", 11)]
     runs += [("export-triangle", "regression_student_t", 5)]
     return runs
 
 
-def export_config(root: Path, config: str, seed: int) -> Path:
-    """The path of a copy of `config` whose init reads the ensemble.csv of
-    its `run` at `seed`, written under `root`."""
+def file_init_config(root: Path, command: str, config: str, seed: int) -> Path:
+    """The path of a copy of `config` whose init reads the FILE_INITS entry
+    of the invocation, written under `root`."""
     data = json.loads((CONFIGS / f"{config}.json").read_text())
-    data["init"] = {"file": str(root / "run" / config / str(seed) / "ensemble.csv")}
-    path = root / "export-triangle" / config / f"{seed}.json"
+    data["init"] = {"file": str(root / FILE_INITS[command, config, seed])}
+    path = root / command / config / f"{seed}.json"
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(data))
     return path
@@ -73,8 +81,8 @@ def main():
         root = Path(args.out or stack.enter_context(tempfile.TemporaryDirectory()))
         for command, config, seed in corpus():
             name = f"{command}/{config}/{seed}"
-            path = (export_config(root, config, seed) if command == "export-triangle"
-                    else CONFIGS / f"{config}.json")
+            path = (file_init_config(root, command, config, seed)
+                    if (command, config, seed) in FILE_INITS else CONFIGS / f"{config}.json")
             stdout = io.StringIO()
             with contextlib.redirect_stdout(stdout):
                 code = cli_main([command, "--config", str(path),

@@ -47,8 +47,8 @@ def self_normalize(log_weights_raw) -> np.ndarray:
 class WeightedEnsemble:
     """Parameter samples with self-normalized importance weights.
 
-    samples has shape (n, n_theta); weights sum to one; weights[i] == 0
-    exactly when log_weights_raw[i] == -inf.
+    samples has shape (n, n_theta); weights sum to one.  weights[i] == 0 where
+    log_weights_raw[i] is -inf or more than about 745 below the largest entry.
     """
 
     samples: np.ndarray
@@ -227,6 +227,9 @@ def read_ensemble_csv(path) -> WeightedEnsemble:
     weight_sum = total(weights)
     if weight_sum == 0.0:
         raise DomainError(f"{path}: every weight is zero")
+    # weights that already sum to one are kept, so a written file reads back
+    if abs(weight_sum - 1.0) > WEIGHT_SUM_TOL:
+        weights = weights / weight_sum
     with np.errstate(divide="ignore"):
         logw = np.log(weights)
-    return WeightedEnsemble(data[:, 1:], logw, weights / weight_sum)
+    return WeightedEnsemble(data[:, 1:], logw, weights)

@@ -22,6 +22,7 @@ from .ensemble import (
 )
 from .errors import AllWeightsZero, DegenerateEnsemble, DomainError
 from .proposals import fit_gaussian, fit_student_t
+from .targets import checked_batch
 
 FAMILIES = ("gaussian", "student_t")
 # convergence is only declared while the R estimator is not saturated:
@@ -38,6 +39,8 @@ MAX_WIDENINGS = 3
 # wide instead of O(N); the blocks never depend on the worker count, and
 # every batch gives a row the same value however the draw is split
 EVAL_BLOCK_ROWS = 4096
+# trace.json names of the IterationRecord fields not written under their own
+RECORD_KEYS = {"n_e": "N_e", "failure_count": "failures"}
 
 
 @dataclass(frozen=True)
@@ -102,18 +105,7 @@ class IterationTrace:
         data = {
             "config": self.config.to_dict(),
             "records": [
-                {
-                    "k": rec.k,
-                    "N_e": rec.n_e,
-                    "r": rec.r,
-                    "n_eff": rec.n_eff,
-                    "failures": rec.failure_count,
-                    "wall_time": rec.wall_time,
-                    "proposal": rec.proposal,
-                    "max_weight": rec.max_weight,
-                    "saturated": rec.saturated,
-                    "widened": rec.widened,
-                }
+                {RECORD_KEYS.get(key, key): value for key, value in asdict(rec).items()}
                 for rec in self.records
             ],
             "stopped_reason": self.stopped_reason,
@@ -127,16 +119,8 @@ class IterationTrace:
 
 
 def parallel_map_density(target, thetas):
-    """Evaluate target.log_density_batch over the rows of `thetas`.
-
-    Returns `(values, failed)` in input order.  Failures are data, not
-    errors: a failed row, and any row whose value is not finite, has
-    `failed` set and value -inf.
-    """
-    values, failed = target.log_density_batch(np.asarray(thetas, dtype=float))
-    values = np.asarray(values, dtype=float)
-    failed = np.asarray(failed, dtype=bool) | ~np.isfinite(values)
-    return np.where(failed, -np.inf, values), failed
+    """`checked_batch` of target.log_density_batch over the rows of `thetas`."""
+    return checked_batch(target.log_density_batch, thetas)
 
 
 def isa_step(

@@ -4,9 +4,9 @@ Targets exposing least-squares structure (`residuals_batch`) are minimized
 with damped Gauss-Newton (Levenberg-Marquardt), everything else with BFGS
 on F from `log_density_batch`.  Both move all the starts of a multistart in
 lockstep, one batch call per stage, and take their finite differences from
-one stencil builder.  Accepted steps strictly decrease F.  A value fails
-when its batch marks it or it is not finite; failed trial steps are
-rejected and stencils fall back to one side.
+one stencil builder.  Accepted steps strictly decrease F.  Every batch is
+a `targets.checked_batch` call; failed trial steps are rejected and
+stencils fall back to one side.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DomainError, EvaluationFailed
-from .targets import TargetDensity, is_failure
+from .targets import TargetDensity, checked_batch, is_failure
 
 # step for the mode-curvature Hessian that becomes a Laplace covariance:
 # probed at ~0.5% of the parameter scale, not at gradient resolution,
@@ -176,11 +176,10 @@ def gauss_newton_hessian(
 
 
 def _neg_log_posterior_batch(target, thetas):
-    """F of every row of `thetas` from one `log_density_batch` call, and the
-    failed mask; a failed or non-finite row holds NaN."""
-    values, failed = target.log_density_batch(thetas)
-    failed = np.asarray(failed, dtype=bool) | ~np.isfinite(values)
-    return np.where(failed, math.nan, -np.asarray(values, dtype=float)), failed
+    """F of every row of `thetas` from one checked `log_density_batch` call,
+    and the failed mask; a failed row holds NaN."""
+    values, failed = checked_batch(target.log_density_batch, thetas)
+    return -values, failed
 
 
 def _norms_sq(x):
@@ -208,9 +207,10 @@ def _minimize_lm(target, starts, settings):
     per damping round.  Per start, lambda starts at 1e-3, grows x10 on a
     rejected (or failed) trial up to 1e12 and shrinks /10 on an accepted
     one down to 1e-12."""
+    evaluate = partial(checked_batch, target.residuals_batch)
     theta = np.array(starts, dtype=float)
     n_starts, n = theta.shape
-    r, start_failed = target.residuals_batch(theta)
+    r, start_failed = evaluate(theta)
     f = 0.5 * _norms_sq(r)
     lam = np.full(n_starts, 1e-3)
     n_iter = np.zeros(n_starts, dtype=int)
@@ -221,8 +221,7 @@ def _minimize_lm(target, starts, settings):
         if active.size == 0:
             break
         n_iter[active] = it
-        jt, ok = _derivatives(target.residuals_batch, theta[active], r[active],
-                              settings.rel_step)
+        jt, ok = _derivatives(evaluate, theta[active], r[active], settings.rel_step)
         status[active[~ok]] = OptStatus.FAILED
         active, jt = active[ok], jt[ok]
         grad = np.einsum("akm,am->ak", jt, r[active])
@@ -239,7 +238,7 @@ def _minimize_lm(target, starts, settings):
             rows = active[pending]
             damped = jtj[pending] + lam[rows, None, None] * np.eye(n)
             trial = theta[rows] + np.linalg.solve(damped, -grad[pending, :, None])[..., 0]
-            r_trial, failed = target.residuals_batch(trial)
+            r_trial, failed = evaluate(trial)
             f_trial = 0.5 * _norms_sq(r_trial)
             good = ~failed & (f_trial < f[rows])
             if good.any():
@@ -257,7 +256,7 @@ def _minimize_lm(target, starts, settings):
         converged = df < settings.f_tol * (1.0 + np.abs(f[active]))
         status[active[converged]] = OptStatus.CONVERGED
         active = active[~converged]
-    jt, ok = _derivatives(target.residuals_batch, theta[live], r[live], settings.rel_step)
+    jt, ok = _derivatives(evaluate, theta[live], r[live], settings.rel_step)
     # one stacked repair; a start without a Jacobian keeps the identity.  The
     # prior rows are part of the whitened residuals, so J holds them
     hessians = np.tile(np.eye(n), (live.size, 1, 1))

@@ -75,7 +75,7 @@ class _Proposal:
 class GaussianProposal(_Proposal):
     mean: np.ndarray
     covariance: np.ndarray
-    chol: np.ndarray = field(repr=False, default=None)
+    chol: np.ndarray = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
@@ -122,7 +122,7 @@ class StudentTProposal(_Proposal):
     location: np.ndarray
     scale_matrix: np.ndarray
     nu: float
-    chol: np.ndarray = field(repr=False, default=None)
+    chol: np.ndarray = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         if self.nu <= 2.0:

@@ -3,8 +3,8 @@
 A target returns either a finite log-density or a Failure value.  Failure is
 a distinct object (not a -inf float) so callers can count model failures
 separately; `is_failure`, the one per-point test, also counts NaN and +-inf.
-Importance weighting maps a failure to log-weight -inf.  The batch entry
-point `log_density_batch` reports failures as a boolean mask instead.
+Importance weighting maps a failure to log-weight -inf.  Batch entry points
+report failures as a boolean mask; `checked_batch` also fails NaN or +-inf rows.
 """
 
 from __future__ import annotations
@@ -37,6 +37,18 @@ def is_failure(value) -> bool:
     return isinstance(value, Failure)
 
 
+def checked_batch(batch, thetas):
+    """One `batch(thetas) -> (values, failed)` call, values 1-d (log densities)
+    or (n, m) (residuals): a row also fails when any of its values is NaN or
+    +-inf, and every failed row holds NaN."""
+    values, failed = batch(np.asarray(thetas, dtype=float))
+    values = np.array(values, dtype=float)
+    finite = np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
+    failed = np.asarray(failed, dtype=bool) | ~finite
+    values[failed] = math.nan
+    return values, failed
+
+
 class TargetDensity:
     """Unnormalized log-posterior interface.
 
@@ -60,9 +72,9 @@ class TargetDensity:
     `log_density` or `residuals` but not `log_density_batch` gets the
     default loop, which marks every value `is_failure` rejects, and a class
     that defines `residuals` but not `residuals_batch` gets
-    `residuals_loop`, one `residuals` call per row.  Non-finite values that
-    a vectorized override returns are counted as failures where the batch
-    is evaluated (`isa.parallel_map_density`, the optimizer).
+    `residuals_loop`, one `residuals` call per row.  ISA, BFGS and
+    Levenberg-Marquardt evaluate every batch through `checked_batch`, so a
+    non-finite row that a vectorized override leaves unmasked fails too.
     """
 
     dimension: int

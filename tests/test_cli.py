@@ -748,6 +748,21 @@ class TestExportTriangle:
         assert (tmp_path / "tri" / "triangle.svg").exists()
         assert (tmp_path / "tri" / "hist2d_theta_0_theta_1.csv").exists()
 
+    def test_files_equal_the_runs(self, tmp_path):
+        # the run's ensemble.csv reads back bitwise, so the export rewrites
+        # every triangle file of the run byte for byte
+        main(["run", "--config", write_config(tmp_path, toy_run_config(tmp_path))])
+        data = toy_run_config(
+            tmp_path,
+            init={"file": str(tmp_path / "out" / "ensemble.csv")},
+            output_dir=str(tmp_path / "tri"),
+        )
+        assert main(["export-triangle", "--config", write_config(tmp_path, data, "t.json")]) == EXIT_OK
+        names = sorted(p.name for p in (tmp_path / "tri").iterdir())
+        assert "triangle.svg" in names and "hist2d_theta_0_theta_1.csv" in names
+        for name in names:
+            assert (tmp_path / "tri" / name).read_bytes() == (tmp_path / "out" / name).read_bytes()
+
     def test_ragged_ensemble_clean_error(self, tmp_path, capsys):
         ens_path = tmp_path / "ragged.csv"
         ens_path.write_text("weight,theta_0,theta_1\n0.5,1.0,2.0\n0.5,1.0\n")

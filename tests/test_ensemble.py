@@ -233,6 +233,24 @@ class TestCsvRoundTrip:
         np.testing.assert_allclose(back.samples, ens.samples, rtol=1e-15)
         np.testing.assert_allclose(back.weights, ens.weights, rtol=1e-12)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_weights_read_back_bitwise(self, tmp_path, seed):
+        # weights that sum to one within WEIGHT_SUM_TOL are kept as written
+        rng = np.random.default_rng(seed)
+        ens = WeightedEnsemble.from_log_weights(
+            rng.standard_normal((500, 2)), 3.0 * rng.standard_normal(500)
+        )
+        path = tmp_path / "ens.csv"
+        write_ensemble_csv(ens, path)
+        back = read_ensemble_csv(path)
+        assert back.weights.tobytes() == ens.weights.tobytes()
+        assert back.samples.tobytes() == ens.samples.tobytes()
+
+    def test_weights_off_one_are_normalized(self, tmp_path):
+        path = tmp_path / "ens.csv"
+        path.write_text("weight,theta_0\n2.0,1.0\n0.0,2.0\n6.0,3.0\n")
+        assert read_ensemble_csv(path).weights.tolist() == [0.25, 0.0, 0.75]
+
     def test_bytes_match_csv_writer(self, tmp_path, monkeypatch):
         # small blocks, so the 200 rows span several of them
         monkeypatch.setattr(isalib.ensemble, "CSV_BLOCK_ROWS", 64)

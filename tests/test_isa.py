@@ -231,7 +231,7 @@ def test_step_memory_is_bounded_by_the_block():
 
 
 class TestParallelMapDensity:
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_values_become_failures(self, bad):
         class Batch:
             def log_density_batch(self, thetas):
@@ -241,7 +241,8 @@ class TestParallelMapDensity:
         thetas = np.array([[1.0], [-1.0], [2.0], [-2.0], [-3.0]])
         values, failed = parallel_map_density(Batch(), thetas)
         assert failed.tolist() == [True, False, True, False, False]
-        assert values.tolist() == [-np.inf, -1.0, -np.inf, -1.0, -1.0]
+        # `targets.checked_batch` fills every failed row with NaN
+        np.testing.assert_array_equal(values, [np.nan, -1.0, np.nan, -1.0, -1.0])
 
 
 class TestNonFiniteTarget:
@@ -264,6 +265,29 @@ class TestNonFiniteTarget:
         assert np.all(ens.weights[bad_rows] == 0.0)
         assert np.all(ens.weights[~bad_rows] > 0.0)
         assert trace.records[-1].failure_count == int(bad_rows.sum())
+
+    def test_failures_count_failed_evaluations_not_zero_weights(self):
+        # the rows with theta_1 > 0 get a finite log density so far below the
+        # rest that their weights underflow to zero; only the rows past
+        # theta_0 = 2 fail
+        class Deep(GaussianTarget):
+            def log_density_batch(self, thetas):
+                values, failed = super().log_density_batch(thetas)
+                failed = failed | (thetas[:, 0] > 2.0)
+                values = np.where(thetas[:, 1] > 0.0, -1e4, values)
+                return np.where(failed, -np.inf, values), failed
+
+        trace = isa_run(
+            Deep(np.zeros(2), np.eye(2)),
+            GaussianProposal(np.zeros(2), np.eye(2)),
+            IsaConfig(samples_per_iteration=2000, max_iterations=1, seed=19),
+        )
+        ens = trace.final_ensemble
+        failed = ens.samples[:, 0] > 2.0
+        assert failed.any() and not np.isneginf(ens.log_weights_raw[~failed]).any()
+        assert np.all(ens.weights[ens.samples[:, 1] > 0.0] == 0.0)
+        assert trace.records[-1].failure_count == int(failed.sum())
+        assert trace.to_dict()["records"][-1]["failures"] == int(failed.sum())
 
 
 class TestIsaRunGaussian:
@@ -413,6 +437,8 @@ class TestTraceSerialization:
         assert "all_failed_draw" not in data
         assert len(data["records"]) == 2
         rec = data["records"][0]
+        assert list(rec) == ["k", "N_e", "r", "n_eff", "failures", "wall_time",
+                             "proposal", "max_weight", "saturated", "widened"]
         assert rec["k"] == 1
         assert rec["N_e"] == 300
         assert rec["r"] >= 1.0

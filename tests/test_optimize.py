@@ -19,6 +19,7 @@ from isalib import (
     gauss_newton_hessian,
     minimize,
 )
+from isalib.init import multistart
 from isalib.optimize import HESSIAN_REL_STEP, _derivatives, minimize_all, repair_spd_eig
 from isalib.targets import (
     TargetDensity, is_failure, make_synthetic_regression, residuals_loop,
@@ -847,3 +848,41 @@ class TestNoEmptyBatch:
             assert_same_result(result, ref)
         for start, ref in zip(starts, expected):
             assert_same_result(minimize(target, start), ref)
+
+
+class EdgeSquares(TargetDensity):
+    """2-d least squares about (centre, -0.5) whose vectorized
+    `residuals_batch` gives every row past theta_0 = 1 the value `bad`,
+    unmasked; its `masked` twin marks those rows failed and fills them with
+    NaN itself."""
+
+    dimension = 2
+
+    def __init__(self, bad, centre, masked):
+        self.bad, self.centre, self.masked = bad, centre, masked
+
+    def residuals_batch(self, thetas):
+        t = np.asarray(thetas, dtype=float)
+        r = np.stack([2.0 * (t[:, 0] - self.centre), t[:, 1] + 0.5,
+                      0.3 * t[:, 0] * t[:, 1]], axis=1)
+        past = t[:, 0] > 1.0
+        r[past] = math.nan if self.masked else self.bad
+        return r, past & self.masked
+
+    def sample_prior(self, rng, n):
+        return rng.uniform(-2.0, 1.5, size=(n, 2))
+
+
+class TestUnmaskedNonFiniteResiduals:
+    """A NaN or +-inf residual row that a vectorized `residuals_batch` leaves
+    unmasked fails in Levenberg-Marquardt as if the batch had masked it."""
+
+    @pytest.mark.parametrize("centre", [0.8, 1.05])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_multistart_equals_the_masked_twin(self, bad, centre):
+        results = multistart(EdgeSquares(bad, centre, False), 10, np.random.default_rng(5))
+        twins = multistart(EdgeSquares(bad, centre, True), 10, np.random.default_rng(5))
+        for result, twin in zip(results, twins, strict=True):
+            assert_same_result(result, twin)
+        statuses = {result.status for result in results}
+        assert OptStatus.FAILED in statuses and len(statuses) > 1

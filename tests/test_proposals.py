@@ -196,6 +196,20 @@ class TestDrawInPlace:
             assert ours.tobytes() == reference_draw(proposal, rng_for(d), 2000).tobytes()
 
 
+class TestCholIsDerived:
+    """The Cholesky factor is computed from the spread, never passed in."""
+
+    @pytest.mark.parametrize("make", [
+        lambda extra: GaussianProposal(np.zeros(2), np.eye(2), extra),
+        lambda extra: StudentTProposal(np.zeros(2), np.eye(2), 3.0, extra),
+        lambda extra: GaussianProposal(np.zeros(2), np.eye(2), chol=extra),
+        lambda extra: StudentTProposal(np.zeros(2), np.eye(2), 3.0, chol=extra),
+    ])
+    def test_extra_argument_rejected(self, make):
+        with pytest.raises(TypeError):
+            make("garbage")
+
+
 class TestWidened:
     @THREE_FAMILIES
     def test_spread_scaled_center_kept(self, proposal):
