@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvformat import format_block
 from .errors import AllWeightsZero, DegenerateEnsemble, DomainError
 from .linalg import spd_repair, total, total_squares
 
@@ -163,17 +164,21 @@ def gaussian_mismatch_r(epsilon: float, n_theta: int) -> float:
 
 
 def write_csv_table(path, header, table) -> None:
-    """Write a header row and one row per line of the 2-d float `table`,
-    every value with 17 significant digits.  Byte-identical to csv.writer's
-    output (comma-separated, CRLF line ends); each block of rows is formatted
-    with one template and written as one string."""
+    """Write a header row and one row per line of the 2-d float `table`.
+
+    The bytes are those of csv.writer (comma-separated, CRLF line ends) over
+    Python's '%.17g' of every value: 17 significant digits, rounded half to
+    even, in %f form for decimal exponents -4 to 16 and in %e form
+    otherwise, without trailing zeros, so each reads back as the same
+    double.  Each block of CSV_BLOCK_ROWS rows is formatted by one numpy
+    kernel, `csvformat.format_block`, and written with one call.  NaN, inf
+    and the rare values within 1e-9 of a rounding tie, exact ties such as
+    2**-25 among them, are formatted by '%.17g' itself."""
     table = np.asarray(table, dtype=float)
-    row = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
         for start in range(0, table.shape[0], CSV_BLOCK_ROWS):
-            block = table[start : start + CSV_BLOCK_ROWS]
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+            fh.write(format_block(table[start : start + CSV_BLOCK_ROWS]))
 
 
 def write_json(path, data) -> None:

@@ -610,6 +610,18 @@ print(json.dumps([before, count, "scipy.special" in sys.modules]))
 """
 
 
+# Imports the CLI in a fresh interpreter and reports whether that loaded
+# fractions or decimal, and how many CSV kernel tables it built.
+IMPORT_PROBE = """
+import json, sys
+import isalib.cli
+from isalib import csvformat
+
+print(json.dumps({"modules": [m for m in ("fractions", "decimal") if m in sys.modules],
+                  "csv_tables": csvformat._csv_tables.cache_info().currsize}))
+"""
+
+
 def run_probe(probe, *args):
     """The JSON report on the last line of `probe` run in a fresh interpreter."""
     src = str(Path(isalib.cli.__file__).resolve().parents[1])
@@ -660,6 +672,10 @@ class TestImportGraph:
         assert report.pop("run regression") == [EXIT_MAX_ITERATIONS, []]
         for name, (code, loaded) in report.items():
             assert (code, loaded) == (EXIT_OK, []), name
+
+    def test_import_builds_no_csv_tables(self):
+        # the CSV kernel builds its tables on the first write, not at import
+        assert run_probe(IMPORT_PROBE) == {"modules": [], "csv_tables": 0}
 
     def test_dedup_at_the_quantile_loads_scipy_special(self):
         # a pair exactly at scipy's quantile is inside the band, so scipy

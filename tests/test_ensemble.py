@@ -1,11 +1,16 @@
 import csv
+import io
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import isalib.csvformat
 import isalib.ensemble
 from isalib import (
     AllWeightsZero,
@@ -18,6 +23,7 @@ from isalib import (
     weighted_covariance,
     weighted_mean,
 )
+from isalib.cli import main
 from isalib.ensemble import read_ensemble_csv, write_ensemble_csv
 from isalib.linalg import total, total_squares
 
@@ -298,3 +304,149 @@ class TestCsvRoundTrip:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(DomainError):
             read_ensemble_csv(path)
+
+
+def percent_g_template(table):
+    """The writer's text before the numpy kernel, kept as the reference: one
+    '%.17g' row template for the whole table."""
+    row = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
+    return (row * len(table)) % tuple(table.ravel().tolist())
+
+
+def csv_writer_text(header, table):
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in table:
+        writer.writerow([f"{x:.17g}" for x in row])
+    return buf.getvalue()
+
+
+def assert_writes_percent_g(directory, table, block_rows):
+    """write_csv_table with CSV_BLOCK_ROWS = block_rows writes the bytes of
+    both references."""
+    table = np.asarray(table, dtype=float)
+    header = [f"c{j}" for j in range(table.shape[1])]
+    path = Path(directory) / "table.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(isalib.ensemble, "CSV_BLOCK_ROWS", block_rows)
+        isalib.ensemble.write_csv_table(path, header, table)
+    got = path.read_bytes()
+    assert got == (",".join(header) + "\r\n" + percent_g_template(table)).encode()
+    assert got == csv_writer_text(header, table).encode()
+
+
+def with_neighbours(values):
+    """Each value with its neighbours one ulp up and down, as three columns."""
+    v = np.asarray(values, dtype=float)
+    with np.errstate(over="ignore"):
+        return np.column_stack([v, np.nextafter(v, np.inf), np.nextafter(v, -np.inf)])
+
+
+BLOCK_ROWS = [1, 64, isalib.ensemble.CSV_BLOCK_ROWS]
+# zero and the ends of the double range, exact ties, the %f/%e switch points,
+# and the double nearest 1e-60, whose 17 digits lie below a power of ten
+EDGE_VALUES = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072009e-308,
+    2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+    2.0**-25, 2.0**-26, -(2.0**-25), 3 * 2.0**-25, 100.0, 1e16, 1e17, 2.0**60,
+    0.0001, 0.00001,
+    9.9999999999999997e-61, 1e-60, 0.5, 1.0, 99999999999999999.0, 123456.0,
+    math.nan, math.inf, -math.inf,
+]
+
+
+class TestCsvKernel:
+    """write_csv_table writes Python's '%.17g' of every double."""
+
+    @pytest.mark.parametrize("block_rows", BLOCK_ROWS)
+    def test_edge_values(self, tmp_path, block_rows):
+        assert_writes_percent_g(tmp_path, with_neighbours(EDGE_VALUES), block_rows)
+
+    @pytest.mark.parametrize("block_rows", BLOCK_ROWS)
+    def test_powers_of_two(self, tmp_path, block_rows):
+        powers = np.ldexp(1.0, np.arange(-1074, 1024))
+        assert_writes_percent_g(tmp_path, with_neighbours(np.concatenate([powers, -powers])),
+                                block_rows)
+
+    @pytest.mark.parametrize("block_rows", BLOCK_ROWS)
+    def test_powers_of_ten(self, tmp_path, block_rows):
+        powers = np.array([float(f"1e{k}") for k in range(-320, 309)])
+        assert_writes_percent_g(tmp_path, with_neighbours(np.concatenate([powers, -powers])),
+                                block_rows)
+
+    @pytest.mark.parametrize("block_rows", BLOCK_ROWS)
+    def test_random_bit_patterns(self, tmp_path, block_rows):
+        bits = np.random.default_rng(11).integers(0, 2**64, (4000, 3), dtype=np.uint64)
+        assert_writes_percent_g(tmp_path, bits.view(np.float64), block_rows)
+
+    @pytest.mark.parametrize("block_rows", BLOCK_ROWS)
+    def test_header_only_and_one_column(self, tmp_path, block_rows):
+        assert_writes_percent_g(tmp_path, np.empty((0, 3)), block_rows)
+        assert (tmp_path / "table.csv").read_bytes() == b"c0,c1,c2\r\n"
+        scales = 10.0 ** np.arange(-6, 6, 0.04)[:, None]
+        column = np.random.default_rng(12).standard_normal((300, 1)) * scales
+        assert_writes_percent_g(tmp_path, column, block_rows)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        arrays(np.float64, st.tuples(st.integers(0, 30), st.integers(1, 5)),
+               elements=st.floats(allow_nan=True, allow_infinity=True)),
+        st.sampled_from(BLOCK_ROWS),
+    )
+    def test_any_floats(self, table, block_rows):
+        with tempfile.TemporaryDirectory() as directory:
+            assert_writes_percent_g(directory, table, block_rows)
+
+
+class TestCsvKernelFallback:
+    """The numpy kernel formats the values itself; only NaN, inf and the
+    near-ties reach '%.17g'."""
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        seen = []
+        percent_g = isalib.csvformat._percent_g
+
+        def counting(values):
+            seen.extend(values.tolist())
+            return percent_g(values)
+
+        monkeypatch.setattr(isalib.csvformat, "_percent_g", counting)
+        return seen
+
+    def test_none_on_a_normal_table(self, tmp_path, fallbacks):
+        table = np.random.default_rng(13).standard_normal((20_000, 6))
+        assert_writes_percent_g(tmp_path, table, isalib.ensemble.CSV_BLOCK_ROWS)
+        assert fallbacks == []
+
+    def test_none_in_a_toy2d_mcmc_run(self, tmp_path, fallbacks):
+        config = Path(__file__).resolve().parent.parent / "configs" / "toy2d_mcmc.json"
+        code = main(["run", "--config", str(config), "--seed", "3", "--output", str(tmp_path)])
+        assert code == 0
+        assert fallbacks == []
+        ens = read_ensemble_csv(tmp_path / "ensemble.csv")
+        table = np.column_stack([ens.weights, ens.samples])
+        assert (tmp_path / "ensemble.csv").read_bytes() == csv_writer_text(
+            ["weight", "theta_0", "theta_1"], table
+        ).encode()
+
+    # 2**-25 = 2.98023223876953125e-08 and 3 * 2**-25 have 18 digits, the
+    # last a 5: exact ties, which '%.17g' rounds half to even
+    @pytest.mark.parametrize("value", [2.0**-25, -3 * 2.0**-25, math.inf, -math.inf])
+    def test_ties_and_infinities_take_it(self, tmp_path, fallbacks, value):
+        assert_writes_percent_g(tmp_path, [[value]], 1)
+        assert fallbacks == [value]
+
+    def test_nan_takes_it(self, tmp_path, fallbacks):
+        assert_writes_percent_g(tmp_path, [[math.nan]], 1)
+        assert len(fallbacks) == 1 and math.isnan(fallbacks[0])
+
+    @pytest.mark.parametrize(
+        "value",
+        [100.0, 1e16, 1e17, 0.0, -0.0, 5e-324, 1.7976931348623157e308, 9.9999999999999997e-61,
+         2.0**-26],
+    )
+    def test_integers_and_range_ends_do_not(self, tmp_path, fallbacks, value):
+        assert_writes_percent_g(tmp_path, [[value]], 1)
+        assert fallbacks == []
